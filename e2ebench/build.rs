@@ -1,0 +1,16 @@
+//! Records the compiler version for the host fingerprint.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|v| v.trim().to_owned())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=E2EBENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
