@@ -138,7 +138,7 @@ fn bench_frequency_response_building(c: &mut Criterion) {
 /// The SIMD kernel arms this host can run, labelled for bench ids.
 fn runnable_backends() -> Vec<(surfos::em::simd::Backend, &'static str)> {
     use surfos::em::simd::Backend;
-    let mut v = vec![(Backend::Scalar, "scalar"), (Backend::Sse2, "sse2")];
+    let mut v = vec![(Backend::Scalar, "scalar")];
     if surfos::em::simd::avx2_available() {
         v.push((Backend::Avx2, "avx2"));
     }
@@ -146,8 +146,8 @@ fn runnable_backends() -> Vec<(surfos::em::simd::Backend, &'static str)> {
 }
 
 /// Per-backend arms of the batched wall-crossing query on the 4064-wall
-/// building: the four-lane f64 `crossing_t` solve (sse2 = `F64x2` pairs,
-/// avx2 = native `F64x4`) against the scalar per-segment reference. All
+/// building: the AVX2 packet traversal with its four-lane f64
+/// `crossing_t` solve against the scalar per-segment reference. All
 /// arms return bit-identical crossings — the proptests pin that — so the
 /// deltas here are pure kernel cost.
 fn bench_crossing_t_backends(c: &mut Criterion) {
@@ -167,8 +167,8 @@ fn bench_crossing_t_backends(c: &mut Criterion) {
 }
 
 /// Per-backend arms of the phasor rotate-and-accumulate kernel on a
-/// sweep-sized bank (4096 phasors × 64 steps): the portable reassociated
-/// loop (scalar/sse2 share it) against the fused AVX2 `F64x4` kernel.
+/// sweep-sized bank (4096 phasors × 64 steps): the scalar arm's portable
+/// reassociated loop against the fused AVX2 `F64x4A` kernel.
 fn bench_sweep_mul_add(c: &mut Criterion) {
     use surfos::em::simd::phasor;
     let mut group = c.benchmark_group("channel/sweep_mul_add");

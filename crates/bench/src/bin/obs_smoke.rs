@@ -58,7 +58,7 @@ fn main() {
     let get = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
 
     // Which SIMD kernel arm this run dispatched to (1 = scalar reference,
-    // 2 = sse2 pairs, 3 = native avx2) — attached so every perf number in
+    // 3 = native avx2) — attached so every perf number in
     // BENCH_channel.json is attributable to a backend.
     println!(
         "{{\"metric\": \"em.simd.backend\", \"value\": {}}}",

@@ -14,10 +14,9 @@
 //! - [`noise`]: thermal noise, SNR and Shannon capacity,
 //! - [`phase`]: phase wrapping and quantization,
 //! - [`simd`]: a runtime-dispatched SIMD substrate for the tracing and
-//!   re-phasing hot paths — native AVX2, portable SSE2 and scalar
-//!   reference arms behind one `f32`/`f64` lane API (selected once via
-//!   CPU detection, overridable with `SURFOS_SIMD`), plus SoA phasor
-//!   kernels (plain-array build via the `scalar-fallback` feature),
+//!   re-phasing hot paths — a native AVX2 arm and the scalar reference
+//!   arm (selected once via CPU detection, overridable with
+//!   `SURFOS_SIMD`), plus SoA phasor kernels,
 //! - [`ulp`]: ULP-distance helpers backing the SIMD↔scalar equivalence
 //!   tests.
 //!
@@ -42,9 +41,6 @@ pub use band::{Band, NamedBand};
 pub use complex::Complex;
 pub use noise::{noise_power_dbm, shannon_capacity_bps, snr_db};
 pub use phase::{quantize_phase, wrap_phase};
-pub use simd::{
-    backend, Backend, F32x4, F32x8, F64x2, F64x4, Mask4, Mask8, MaskD2, MaskD4, SimdF32x8,
-    SimdF64x4, SimdMask8, SimdMaskD4,
-};
+pub use simd::{backend, Backend};
 pub use ulp::{approx_eq_ulps_f64, ulp_distance_f32, ulp_distance_f64};
 pub use units::{db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm, SPEED_OF_LIGHT};

@@ -7,30 +7,28 @@
 //! true. That one-time detection is the safety argument for the `avx!`
 //! macro below and for the `#[target_feature]` kernel entry points.
 //!
-//! The lane types mirror the portable [`F32x8`](super::F32x8) /
-//! [`F64x4`](super::F64x4) pair types **bit for bit**: same IEEE
-//! lane-wise math, same `vminps`/`vmaxps` operand-order semantics under
-//! NaN (AVX inherits them from SSE), compares via the ordered
-//! non-signalling predicates (false on NaN, like `cmpltps`), an
-//! **unfused** `mul_add`, and a `reduce_sum` that reproduces the
-//! portable `((a0+a2)+(a1+a3)) + ((a4+a6)+(a5+a7))` association by
-//! splitting the 256-bit register into its 128-bit halves and running
-//! the exact SSE reduction on each. The only deliberately divergent
-//! math in this module is the *fused* complex rotation inside
-//! `sum_and_advance` / `weighted_sum_and_advance`, whose ULP budget
-//! is documented in [`phasor`](super::phasor).
+//! The lane types pin the semantics the geometry kernels rely on to stay
+//! bit-identical to their scalar reference loops: IEEE lane-wise math,
+//! `vminps`/`vmaxps` operand-order semantics under NaN (the *second*
+//! operand wins on unordered or equal lanes, as with SSE), compares via
+//! the ordered non-signalling predicates (false on NaN), an **unfused**
+//! `mul_add`, and a `reduce_sum` with the fixed
+//! `((a0+a2)+(a1+a3)) + ((a4+a6)+(a5+a7))` association, computed by
+//! splitting the 256-bit register into its 128-bit halves. The only
+//! deliberately divergent math in this module is the *fused* complex
+//! rotation inside `sum_and_advance` / `weighted_sum_and_advance`, whose
+//! ULP budget is documented in [`phasor`](super::phasor).
 //!
-//! Methods are `#[inline(always)]` rather than `#[target_feature]`
-//! (trait/impl methods cannot carry the attribute): they flatten into
-//! the `#[target_feature(enable = "avx2")]` kernel entry points their
-//! callers compile, so the intrinsics inline into AVX2-enabled code.
-//! Called outside such a kernel (tests do this after checking
-//! `avx2_available()`), each intrinsic still executes correctly — the
-//! CPU has the feature; only scheduling is pessimised.
+//! Methods are `#[inline(always)]` rather than `#[target_feature]`: they
+//! flatten into the `#[target_feature(enable = "avx2")]` kernel entry
+//! points their callers compile, so the intrinsics inline into
+//! AVX2-enabled code. Called outside such a kernel (tests do this after
+//! checking `avx2_available()`), each intrinsic still executes correctly
+//! — the CPU has the feature; only scheduling is pessimised.
+
+#![allow(clippy::should_implement_trait)]
 
 use core::arch::x86_64::*;
-
-use super::{SimdF32x8, SimdF64x4, SimdMask8, SimdMaskD4};
 
 /// Wraps a value-based AVX2/FMA intrinsic call.
 ///
@@ -45,8 +43,8 @@ macro_rules! avx {
     };
 }
 
-/// Eight `f32` lanes in one AVX2 `__m256` register — the native arm of
-/// [`SimdF32x8`].
+/// Eight `f32` lanes in one AVX2 `__m256` register: the ray-packet
+/// width of `surfos-geometry`'s packet traversal and interval banks.
 #[derive(Clone, Copy, Debug)]
 pub struct F32x8A(__m256);
 
@@ -54,8 +52,8 @@ pub struct F32x8A(__m256);
 #[derive(Clone, Copy, Debug)]
 pub struct Mask8A(__m256);
 
-/// Four `f64` lanes in one AVX2 `__m256d` register — the native arm of
-/// [`SimdF64x4`].
+/// Four `f64` lanes in one AVX2 `__m256d` register: the exact
+/// `crossing_t` batch solve and the phasor kernels.
 #[derive(Clone, Copy, Debug)]
 pub struct F64x4A(__m256d);
 
@@ -85,23 +83,27 @@ fn reduce_sum_128(v: __m128) -> f32 {
     avx!(_mm_cvtss_f32(_mm_add_ss(pair, odd)))
 }
 
-impl SimdF32x8 for F32x8A {
-    type Mask = Mask8A;
+impl F32x8A {
+    /// Number of lanes.
+    pub const LANES: usize = 8;
 
+    /// Broadcasts `v` to all lanes.
     #[inline(always)]
-    fn splat(v: f32) -> Self {
+    pub fn splat(v: f32) -> Self {
         F32x8A(avx!(_mm256_set1_ps(v)))
     }
 
+    /// Loads the lanes from an array (`a[0]` is lane 0).
     #[inline(always)]
-    fn from_array(a: [f32; 8]) -> Self {
+    pub fn from_array(a: [f32; 8]) -> Self {
         F32x8A(avx!(_mm256_setr_ps(
             a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
         )))
     }
 
+    /// Stores the lanes to an array (`a[0]` is lane 0).
     #[inline(always)]
-    fn to_array(self) -> [f32; 8] {
+    pub fn to_array(self) -> [f32; 8] {
         let lo = avx!(_mm256_castps256_ps128(self.0));
         let hi = avx!(_mm256_extractf128_ps::<1>(self.0));
         let l = |v: __m128, i: i32| -> f32 {
@@ -124,79 +126,102 @@ impl SimdF32x8 for F32x8A {
         ]
     }
 
+    /// Lane-wise `self + rhs`.
     #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
+    pub fn add(self, rhs: Self) -> Self {
         F32x8A(avx!(_mm256_add_ps(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self - rhs`.
     #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
+    pub fn sub(self, rhs: Self) -> Self {
         F32x8A(avx!(_mm256_sub_ps(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self * rhs`.
     #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
+    pub fn mul(self, rhs: Self) -> Self {
         F32x8A(avx!(_mm256_mul_ps(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self * b + c`, rounded twice (**not** fused).
     #[inline(always)]
-    fn mul_add(self, b: Self, c: Self) -> Self {
-        // Deliberately NOT vfmadd: the trait contract is two roundings
-        // on every backend.
+    pub fn mul_add(self, b: Self, c: Self) -> Self {
+        // Deliberately NOT vfmadd: the geometry kernels rely on two
+        // roundings to match their scalar reference bit for bit.
         F32x8A(avx!(_mm256_add_ps(_mm256_mul_ps(self.0, b.0), c.0)))
     }
 
+    /// Lane-wise `self / rhs` (IEEE: `±∞` on zero divisors, NaN on `0/0`).
     #[inline(always)]
-    fn div(self, rhs: Self) -> Self {
+    pub fn div(self, rhs: Self) -> Self {
         F32x8A(avx!(_mm256_div_ps(self.0, rhs.0)))
     }
 
+    /// Lane-wise absolute value (clears the sign bit; `|NaN|` keeps its payload).
     #[inline(always)]
-    fn abs(self) -> Self {
+    pub fn abs(self) -> Self {
         F32x8A(avx!(_mm256_andnot_ps(_mm256_set1_ps(-0.0), self.0)))
     }
 
+    /// Lane-wise minimum; the second operand (`rhs`) wins on unordered (NaN) or equal lanes.
     #[inline(always)]
-    fn min(self, rhs: Self) -> Self {
+    pub fn min(self, rhs: Self) -> Self {
         F32x8A(avx!(_mm256_min_ps(self.0, rhs.0)))
     }
 
+    /// Lane-wise maximum; the second operand (`rhs`) wins on unordered (NaN) or equal lanes.
     #[inline(always)]
-    fn max(self, rhs: Self) -> Self {
+    pub fn max(self, rhs: Self) -> Self {
         F32x8A(avx!(_mm256_max_ps(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self < rhs` (false on NaN).
     #[inline(always)]
-    fn simd_lt(self, rhs: Self) -> Mask8A {
+    pub fn simd_lt(self, rhs: Self) -> Mask8A {
         Mask8A(avx!(_mm256_cmp_ps::<_CMP_LT_OQ>(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self <= rhs` (false on NaN).
     #[inline(always)]
-    fn simd_le(self, rhs: Self) -> Mask8A {
+    pub fn simd_le(self, rhs: Self) -> Mask8A {
         Mask8A(avx!(_mm256_cmp_ps::<_CMP_LE_OQ>(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self >= rhs` (false on NaN).
     #[inline(always)]
-    fn simd_ge(self, rhs: Self) -> Mask8A {
+    pub fn simd_ge(self, rhs: Self) -> Mask8A {
         Mask8A(avx!(_mm256_cmp_ps::<_CMP_GE_OQ>(self.0, rhs.0)))
     }
 
+    /// Picks `self` where `mask` is true, `other` where false.
     #[inline(always)]
-    fn select(self, mask: Mask8A, other: Self) -> Self {
+    pub fn select(self, mask: Mask8A, other: Self) -> Self {
         F32x8A(avx!(_mm256_blendv_ps(other.0, self.0, mask.0)))
     }
 
+    /// Horizontal sum with the fixed `((a0+a2)+(a1+a3)) + ((a4+a6)+(a5+a7))` association.
     #[inline(always)]
-    fn reduce_sum(self) -> f32 {
+    pub fn reduce_sum(self) -> f32 {
         let lo = avx!(_mm256_castps256_ps128(self.0));
         let hi = avx!(_mm256_extractf128_ps::<1>(self.0));
         reduce_sum_128(lo) + reduce_sum_128(hi)
     }
 }
 
-impl SimdMask8 for Mask8A {
+impl Mask8A {
+    /// Mask with the first `n` lanes set (`n` clamped to 8) — the shape
+    /// of a partially filled remainder packet. An index-compare against
+    /// the splat of `n`, with no assumption about the register layout.
     #[inline(always)]
-    fn splat(b: bool) -> Self {
+    pub fn first_n(n: usize) -> Self {
+        let lanes = F32x8A::from_array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+        lanes.simd_lt(F32x8A::splat(n.min(F32x8A::LANES) as f32))
+    }
+
+    /// Mask with every lane set to `b`.
+    #[inline(always)]
+    pub fn splat(b: bool) -> Self {
         if b {
             Mask8A(all_ones_256())
         } else {
@@ -204,59 +229,59 @@ impl SimdMask8 for Mask8A {
         }
     }
 
+    /// Lane-wise AND.
     #[inline(always)]
-    fn and(self, rhs: Self) -> Self {
+    pub fn and(self, rhs: Self) -> Self {
         Mask8A(avx!(_mm256_and_ps(self.0, rhs.0)))
     }
 
+    /// Lane-wise OR.
     #[inline(always)]
-    fn or(self, rhs: Self) -> Self {
+    pub fn or(self, rhs: Self) -> Self {
         Mask8A(avx!(_mm256_or_ps(self.0, rhs.0)))
     }
 
+    /// Lane-wise NOT.
     #[inline(always)]
-    fn not(self) -> Self {
+    pub fn not(self) -> Self {
         Mask8A(avx!(_mm256_andnot_ps(self.0, all_ones_256())))
     }
 
+    /// One bit per lane, lane 0 in bit 0.
     #[inline(always)]
-    fn bitmask(self) -> u8 {
+    pub fn bitmask(self) -> u8 {
         (avx!(_mm256_movemask_ps(self.0)) & 0xFF) as u8
+    }
+
+    /// `true` if any lane is set.
+    #[inline(always)]
+    pub fn any(self) -> bool {
+        self.bitmask() != 0
+    }
+
+    /// `true` if every lane is set.
+    #[inline(always)]
+    pub fn all(self) -> bool {
+        self.bitmask() == 0xFF
     }
 }
 
 impl F64x4A {
-    /// Lane-wise **fused** `self * b + c` (single rounding, `vfmadd`).
-    ///
-    /// Not part of [`SimdF64x4`] — fusion is confined to the phasor
-    /// rotation; generic kernels must keep the unfused `mul_add`.
+    /// Broadcasts `v` to all lanes.
     #[inline(always)]
-    pub fn mul_add_fused(self, b: Self, c: Self) -> Self {
-        F64x4A(avx!(_mm256_fmadd_pd(self.0, b.0, c.0)))
-    }
-
-    /// Lane-wise **fused** `self * b - c` (single rounding, `vfmsub`).
-    #[inline(always)]
-    pub fn mul_sub_fused(self, b: Self, c: Self) -> Self {
-        F64x4A(avx!(_mm256_fmsub_pd(self.0, b.0, c.0)))
-    }
-}
-
-impl SimdF64x4 for F64x4A {
-    type Mask = MaskD4A;
-
-    #[inline(always)]
-    fn splat(v: f64) -> Self {
+    pub fn splat(v: f64) -> Self {
         F64x4A(avx!(_mm256_set1_pd(v)))
     }
 
+    /// Loads the lanes from an array (`a[0]` is lane 0).
     #[inline(always)]
-    fn from_array(a: [f64; 4]) -> Self {
+    pub fn from_array(a: [f64; 4]) -> Self {
         F64x4A(avx!(_mm256_setr_pd(a[0], a[1], a[2], a[3])))
     }
 
+    /// Stores the lanes to an array (`a[0]` is lane 0).
     #[inline(always)]
-    fn to_array(self) -> [f64; 4] {
+    pub fn to_array(self) -> [f64; 4] {
         let lo = avx!(_mm256_castpd256_pd128(self.0));
         let hi = avx!(_mm256_extractf128_pd::<1>(self.0));
         [
@@ -267,72 +292,100 @@ impl SimdF64x4 for F64x4A {
         ]
     }
 
+    /// Lane-wise `self + rhs`.
     #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
+    pub fn add(self, rhs: Self) -> Self {
         F64x4A(avx!(_mm256_add_pd(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self - rhs`.
     #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
+    pub fn sub(self, rhs: Self) -> Self {
         F64x4A(avx!(_mm256_sub_pd(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self * rhs`.
     #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
+    pub fn mul(self, rhs: Self) -> Self {
         F64x4A(avx!(_mm256_mul_pd(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self * b + c`, rounded twice (**not** fused).
     #[inline(always)]
-    fn mul_add(self, b: Self, c: Self) -> Self {
-        // Two roundings, per the trait contract (see mul_add_fused for
-        // the fused variant the phasor kernel uses).
+    pub fn mul_add(self, b: Self, c: Self) -> Self {
+        // Two roundings (see mul_add_fused for the fused variant the
+        // phasor kernel uses).
         F64x4A(avx!(_mm256_add_pd(_mm256_mul_pd(self.0, b.0), c.0)))
     }
 
+    /// Lane-wise **fused** `self * b + c` (single rounding, `vfmadd`).
+    ///
+    /// Fusion is confined to the phasor rotation; the geometry kernels
+    /// keep the unfused [`Self::mul_add`].
     #[inline(always)]
-    fn div(self, rhs: Self) -> Self {
+    pub fn mul_add_fused(self, b: Self, c: Self) -> Self {
+        F64x4A(avx!(_mm256_fmadd_pd(self.0, b.0, c.0)))
+    }
+
+    /// Lane-wise **fused** `self * b - c` (single rounding, `vfmsub`).
+    #[inline(always)]
+    pub fn mul_sub_fused(self, b: Self, c: Self) -> Self {
+        F64x4A(avx!(_mm256_fmsub_pd(self.0, b.0, c.0)))
+    }
+
+    /// Lane-wise `self / rhs` (IEEE: `±∞` on zero divisors, NaN on `0/0`).
+    #[inline(always)]
+    pub fn div(self, rhs: Self) -> Self {
         F64x4A(avx!(_mm256_div_pd(self.0, rhs.0)))
     }
 
+    /// Lane-wise absolute value (clears the sign bit; `|NaN|` keeps its payload).
     #[inline(always)]
-    fn abs(self) -> Self {
+    pub fn abs(self) -> Self {
         F64x4A(avx!(_mm256_andnot_pd(_mm256_set1_pd(-0.0), self.0)))
     }
 
+    /// Lane-wise minimum; the second operand (`rhs`) wins on unordered (NaN) or equal lanes.
     #[inline(always)]
-    fn min(self, rhs: Self) -> Self {
+    pub fn min(self, rhs: Self) -> Self {
         F64x4A(avx!(_mm256_min_pd(self.0, rhs.0)))
     }
 
+    /// Lane-wise maximum; the second operand (`rhs`) wins on unordered (NaN) or equal lanes.
     #[inline(always)]
-    fn max(self, rhs: Self) -> Self {
+    pub fn max(self, rhs: Self) -> Self {
         F64x4A(avx!(_mm256_max_pd(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self < rhs` (false on NaN).
     #[inline(always)]
-    fn simd_lt(self, rhs: Self) -> MaskD4A {
+    pub fn simd_lt(self, rhs: Self) -> MaskD4A {
         MaskD4A(avx!(_mm256_cmp_pd::<_CMP_LT_OQ>(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self <= rhs` (false on NaN).
     #[inline(always)]
-    fn simd_le(self, rhs: Self) -> MaskD4A {
+    pub fn simd_le(self, rhs: Self) -> MaskD4A {
         MaskD4A(avx!(_mm256_cmp_pd::<_CMP_LE_OQ>(self.0, rhs.0)))
     }
 
+    /// Lane-wise `self >= rhs` (false on NaN).
     #[inline(always)]
-    fn simd_ge(self, rhs: Self) -> MaskD4A {
+    pub fn simd_ge(self, rhs: Self) -> MaskD4A {
         MaskD4A(avx!(_mm256_cmp_pd::<_CMP_GE_OQ>(self.0, rhs.0)))
     }
 
+    /// Picks `self` where `mask` is true, `other` where false.
     #[inline(always)]
-    fn select(self, mask: MaskD4A, other: Self) -> Self {
+    pub fn select(self, mask: MaskD4A, other: Self) -> Self {
         F64x4A(avx!(_mm256_blendv_pd(other.0, self.0, mask.0)))
     }
 }
 
-impl SimdMaskD4 for MaskD4A {
+impl MaskD4A {
+    /// Mask with every lane set to `b`.
     #[inline(always)]
-    fn splat(b: bool) -> Self {
+    pub fn splat(b: bool) -> Self {
         if b {
             MaskD4A(all_ones_256d())
         } else {
@@ -340,32 +393,48 @@ impl SimdMaskD4 for MaskD4A {
         }
     }
 
+    /// Lane-wise AND.
     #[inline(always)]
-    fn and(self, rhs: Self) -> Self {
+    pub fn and(self, rhs: Self) -> Self {
         MaskD4A(avx!(_mm256_and_pd(self.0, rhs.0)))
     }
 
+    /// Lane-wise OR.
     #[inline(always)]
-    fn or(self, rhs: Self) -> Self {
+    pub fn or(self, rhs: Self) -> Self {
         MaskD4A(avx!(_mm256_or_pd(self.0, rhs.0)))
     }
 
+    /// Lane-wise NOT.
     #[inline(always)]
-    fn not(self) -> Self {
+    pub fn not(self) -> Self {
         MaskD4A(avx!(_mm256_andnot_pd(self.0, all_ones_256d())))
     }
 
+    /// One bit per lane, lane 0 in bit 0.
     #[inline(always)]
-    fn bitmask(self) -> u8 {
+    pub fn bitmask(self) -> u8 {
         (avx!(_mm256_movemask_pd(self.0)) & 0xF) as u8
+    }
+
+    /// `true` if any lane is set.
+    #[inline(always)]
+    pub fn any(self) -> bool {
+        self.bitmask() != 0
+    }
+
+    /// `true` if every lane is set.
+    #[inline(always)]
+    pub fn all(self) -> bool {
+        self.bitmask() == 0xF
     }
 }
 
 /// AVX2+FMA arm of [`phasor::sum_and_advance`](super::phasor::sum_and_advance).
 ///
-/// The *sums* are bit-identical to the portable kernel: vector lane `j`
+/// The *sums* are bit-identical to the scalar arm: vector lane `j`
 /// accumulates exactly the indices `i ≡ j (mod 4)` in ascending order —
-/// the same buckets, in the same order, as the portable `ACC_LANES`
+/// the same buckets, in the same order, as the scalar arm's `ACC_LANES`
 /// partial sums — and the final fold uses the same
 /// `(s0+s2) + (s1+s3)` association. Only the *rotation* differs: it is
 /// fused (`vfmsub`/`vfmadd`, one rounding instead of two), and the
@@ -424,7 +493,7 @@ pub(super) unsafe fn sum_and_advance(
 /// AVX2+FMA arm of
 /// [`phasor::weighted_sum_and_advance`](super::phasor::weighted_sum_and_advance).
 ///
-/// Weighted sums stay bit-identical to the portable kernel (the
+/// Weighted sums stay bit-identical to the scalar arm (the
 /// `w[i] * value` product is a plain lane multiply followed by a plain
 /// add — two roundings, exactly like the scalar `sr[j] += r * w[i]`);
 /// only the rotation is fused, as in [`sum_and_advance`].

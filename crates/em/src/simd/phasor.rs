@@ -13,16 +13,15 @@
 //!
 //! The public entry points dispatch on [`backend()`](super::backend):
 //!
-//! - **Scalar / Sse2** run the portable loop (the compiler
-//!   autovectorizes the independent partial sums on x86_64; the shape —
-//!   and therefore every result bit — is identical either way). Each
-//!   phasor's *rotation* is bit-identical to the scalar `Complex`
-//!   multiply (`re·dre − im·dim`, `re·dim + im·dre`, same operation
-//!   order, two roundings per term).
-//! - **Avx2** runs the native `__m256d` kernel in
-//!   [`avx2`](super::avx2). Its **sums are bit-identical** to the
-//!   portable loop (same [`ACC_LANES`] buckets, same visit order, same
-//!   final `(s0+s2)+(s1+s3)` fold), but the rotation is **fused**:
+//! - **Scalar** runs the portable loop (the compiler may autovectorize
+//!   the independent partial sums; the shape — and therefore every
+//!   result bit — is the same either way). Each phasor's *rotation* is
+//!   bit-identical to the scalar `Complex` multiply (`re·dre − im·dim`,
+//!   `re·dim + im·dre`, same operation order, two roundings per term).
+//! - **Avx2** runs the native `__m256d` kernel in `avx2`. Its **sums
+//!   are bit-identical** to the portable loop (same [`ACC_LANES`]
+//!   buckets, same visit order, same final `(s0+s2)+(s1+s3)` fold), but
+//!   the rotation is **fused**:
 //!   `re′ = fma(re, dre, −(im·dim))` and `im′ = fma(re, dim, im·dre)`
 //!   round once where the portable form rounds twice.
 //!

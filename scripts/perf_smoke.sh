@@ -85,8 +85,8 @@ run_benches() {
 
   # Wrap the JSON lines into one JSON document with run metadata. The
   # "simd" field is the requested dispatch override ("auto" = runtime
-  # detection); the realized backend is the em.simd.backend line in the
-  # observability attachment.
+  # detection); the realized backend is the em.simd.backend line that
+  # obs_smoke reads from simd::backend() into the observability attachment.
   local threads="${SURFOS_THREADS:-auto}"
   local simd="${SURFOS_SIMD:-auto}"
   {
