@@ -21,9 +21,9 @@ use surfos::rpc::proto::{Request, RequestEnvelope, Response};
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Validates a serve-mode snapshot: parseable, has the request counter,
-/// the per-connection accounting, and (in full snapshots) the
-/// `rpc.request_ns` HDR timer with percentile fields. Returns the total
-/// request count.
+/// the per-connection accounting, whole HDR histograms (see
+/// [`validate_histograms`]) and (in full snapshots) the `rpc.request_ns`
+/// HDR timer with percentile fields. Returns the total request count.
 fn validate_daemon_metrics(json: &str) -> Result<u64, String> {
     let doc = JsonValue::parse(json).map_err(|e| format!("bad JSON: {e}"))?;
     let counters = doc
@@ -67,7 +67,38 @@ fn validate_daemon_metrics(json: &str) -> Result<u64, String> {
             }
         }
     }
+    validate_histograms(&doc)?;
     Ok(requests)
+}
+
+/// Every `histograms` entry — in full and deterministic snapshots alike —
+/// is a whole HDR distribution: all eight fields present and
+/// `min ≤ p50 ≤ p90 ≤ p99 ≤ p999 ≤ max`.
+fn validate_histograms(doc: &JsonValue) -> Result<(), String> {
+    let hists = doc
+        .get("histograms")
+        .and_then(JsonValue::as_object)
+        .ok_or("no histograms object")?;
+    for (name, h) in hists {
+        let field = |f: &str| {
+            h.get(f)
+                .and_then(JsonValue::as_f64)
+                .ok_or_else(|| format!("histogram {name} lacks {f}"))
+        };
+        field("count")?;
+        field("sum")?;
+        let ordered = ["min", "p50", "p90", "p99", "p999", "max"]
+            .map(|f| field(f).map(|v| (f, v)))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        for pair in ordered.windows(2) {
+            let ((lo_name, lo), (hi_name, hi)) = (pair[0], pair[1]);
+            if lo > hi {
+                return Err(format!("histogram {name}: {lo_name} {lo} > {hi_name} {hi}"));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[test]
@@ -136,6 +167,40 @@ fn validator_rejects_snapshots_missing_the_rpc_series() {
     assert!(validate_daemon_metrics(no_timer)
         .unwrap_err()
         .contains("rpc.request_ns"));
+}
+
+#[test]
+fn validator_rejects_malformed_histograms() {
+    let doc = |hist: &str| {
+        format!(
+            r#"{{"counters":{{"rpc.requests":5,"rpc.conns.opened":1}},"histograms":{{"h":{hist}}}}}"#
+        )
+    };
+    let whole = r#"{"count":3,"sum":12,"min":2,"max":6,"p50":4,"p90":6,"p99":6,"p999":6}"#;
+    assert_eq!(validate_daemon_metrics(&doc(whole)), Ok(5));
+    for (hist, needle) in [
+        // Buckets without percentiles.
+        (r#"{"count":1,"sum":1,"buckets":[[1,1]]}"#, "lacks min"),
+        (
+            r#"{"count":3,"sum":12,"min":2,"max":6,"p50":4,"p99":6,"p999":6}"#,
+            "lacks p90",
+        ),
+        (
+            r#"{"count":3,"sum":12,"min":2,"max":6,"p50":4,"p90":7,"p99":6,"p999":6}"#,
+            "p90 7 > p99 6",
+        ),
+        (
+            r#"{"count":3,"sum":12,"min":5,"max":6,"p50":4,"p90":6,"p99":6,"p999":6}"#,
+            "min 5 > p50 4",
+        ),
+    ] {
+        let err = validate_daemon_metrics(&doc(hist)).unwrap_err();
+        assert!(err.contains(needle), "{hist} -> {err}");
+    }
+    let no_hists = r#"{"counters":{"rpc.requests":5,"rpc.conns.opened":1}}"#;
+    assert!(validate_daemon_metrics(no_hists)
+        .unwrap_err()
+        .contains("histograms"));
 }
 
 /// File-validation arm for `scripts/lint.sh`: when `SURFOS_METRICS_CHECK`

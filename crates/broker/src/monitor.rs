@@ -14,10 +14,9 @@
 //! now.
 
 use crate::demand::AppClass;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated statistics of one flow over an observation window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowStats {
     /// Mean downlink rate, Mbit/s.
     pub rate_mbps: f64,
@@ -74,7 +73,7 @@ pub fn classify(stats: &FlowStats) -> Option<AppClass> {
 }
 
 /// Health of one monitored service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Health {
     /// No observation yet.
     Unknown,

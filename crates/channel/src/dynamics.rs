@@ -7,13 +7,12 @@
 //! and scripted [`BlockerWalk`] trajectories the kernel replays in
 //! discrete time.
 
-use serde::{Deserialize, Serialize};
 use surfos_em::band::Band;
 use surfos_geometry::bvh::Aabb;
 use surfos_geometry::{Material, Vec3};
 
 /// A dynamic obstruction, modelled as a vertical lossy cylinder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Blocker {
     /// Centre of the cylinder footprint.
     pub position: Vec3,
@@ -85,7 +84,7 @@ impl Blocker {
 
 /// A scripted walking trajectory: piecewise-linear waypoints at a constant
 /// speed, looping. Deterministic so experiments replay identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockerWalk {
     /// Waypoints of the walk (plan view).
     pub waypoints: Vec<Vec3>,
@@ -148,7 +147,7 @@ impl BlockerWalk {
 }
 
 /// An environment event the kernel's runtime loop reacts to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EnvironmentEvent {
     /// A blocker appeared or moved.
     BlockerMoved {

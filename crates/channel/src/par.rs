@@ -24,21 +24,10 @@ const MIN_ITEMS_PER_THREAD: usize = 4;
 /// like `1000000`) must not translate into an unbounded spawn storm.
 pub const MAX_THREADS: usize = 256;
 
-/// The worker count for `work` items: `SURFOS_THREADS` if set (clamped to
-/// `1..=`[`MAX_THREADS`]), otherwise the machine's available parallelism,
-/// never more than the work supports.
+/// The worker count for `work` items: [`configured_threads`], never more
+/// than the work supports.
 pub fn thread_count(work: usize) -> usize {
-    let hw = std::env::var("SURFOS_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .map(|n| n.min(MAX_THREADS))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-    hw.min(work.div_ceil(MIN_ITEMS_PER_THREAD).max(1))
+    configured_threads().min(work.div_ceil(MIN_ITEMS_PER_THREAD).max(1))
 }
 
 /// The configured worker count for *coarse-grained* fan-out (one shard,

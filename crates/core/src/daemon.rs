@@ -7,8 +7,10 @@
 //! ([`TenantRegistry`]) and the
 //! kernel's [`resource_model`](SurfOS::resource_model) admission precheck.
 //! Over-demand — quota exhausted, registry at capacity, empty resource
-//! grid — always answers with a structured `Rejected{reason}` response;
-//! the daemon never parks a request.
+//! grid — and registrations the kernel could never serve (non-finite
+//! goals, non-positive durations, unknown subjects) always answer with a
+//! structured `Rejected{reason}` response; the daemon never parks a
+//! request.
 //!
 //! # Threading model
 //!
@@ -46,7 +48,7 @@ use std::time::{Duration, Instant};
 use surfos_broker::registry::TenantRegistry;
 use surfos_obs as obs;
 use surfos_orchestrator::task::{TaskId, TaskState};
-use surfos_orchestrator::ServiceRequest;
+use surfos_orchestrator::{ServiceRequest, SERVICE_KINDS};
 
 /// How the daemon listens and admits.
 #[derive(Debug, Clone)]
@@ -175,18 +177,19 @@ impl Dispatcher {
         if let Some(reject) = self.grid_reject() {
             return reject;
         }
+        let request = match ServiceRequest::parse(kind, subject, value) {
+            Ok(request) => request,
+            Err(message) if !SERVICE_KINDS.contains(&kind) => return Response::Error { message },
+            Err(reason) => return Response::Rejected { reason },
+        };
+        if let Err(reason) = self.kernel.orchestrator().check_subject(&request) {
+            return Response::Rejected { reason };
+        }
         if let Err(e) = self.registry.admit(tenant) {
             return Response::Rejected {
                 reason: e.to_string(),
             };
         }
-        let Some(request) = service_request(kind, subject, value) else {
-            return Response::Error {
-                message: format!(
-                    "unknown service kind {kind:?} (coverage|link|sensing|powering|protect)"
-                ),
-            };
-        };
         let task = self.kernel.submit(request);
         match self.registry.register(tenant, kind, task) {
             Ok(service) => Response::Registered { service, task },
@@ -292,19 +295,6 @@ pub fn demo_kernel() -> SurfOS {
     ));
     os.set_user_room(scen.target_room.clone());
     os
-}
-
-/// Maps the wire `kind` vocabulary onto [`ServiceRequest`] constructors —
-/// the same five classes as the shell's `request` command.
-fn service_request(kind: &str, subject: &str, value: f64) -> Option<ServiceRequest> {
-    Some(match kind {
-        "coverage" => ServiceRequest::optimize_coverage(subject, value),
-        "link" => ServiceRequest::enhance_link(subject, value, 50.0),
-        "sensing" => ServiceRequest::enable_sensing(subject, value),
-        "powering" => ServiceRequest::init_powering(subject, value),
-        "protect" => ServiceRequest::protect_link(subject, value),
-        _ => return None,
-    })
 }
 
 /// One live connection, TCP or unix.
@@ -820,6 +810,60 @@ mod tests {
         assert!(reason.contains("quota"), "{reason}");
         // A different tenant still gets in.
         assert!(matches!(d.dispatch("u", &req), Response::Registered { .. }));
+    }
+
+    #[test]
+    fn unservable_registrations_reject_before_admission() {
+        let mut d = dispatcher(256, 256);
+        let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0, 25.0];
+        let mut registered = 0;
+        for kind in SERVICE_KINDS {
+            let is_duration = matches!(kind, "sensing" | "powering");
+            let valid = if matches!(kind, "link" | "powering") {
+                "laptop"
+            } else {
+                "bedroom"
+            };
+            for subject in ["", "nope", valid] {
+                for value in values {
+                    let tasks = d.kernel().orchestrator().tasks.all().len();
+                    let resp = d.dispatch(
+                        "t",
+                        &Request::RegisterService {
+                            kind: kind.into(),
+                            subject: subject.into(),
+                            value,
+                        },
+                    );
+                    let servable =
+                        subject == valid && value.is_finite() && (!is_duration || value > 0.0);
+                    let case = format!("{kind} {subject:?} {value} -> {resp:?}");
+                    if servable {
+                        assert!(matches!(resp, Response::Registered { .. }), "{case}");
+                        registered += 1;
+                    } else {
+                        assert!(matches!(resp, Response::Rejected { .. }), "{case}");
+                        // No task and no lease behind a rejection.
+                        let after = d.kernel().orchestrator().tasks.all().len();
+                        assert_eq!(after, tasks, "{case}");
+                    }
+                    assert_eq!(d.registry.live(), registered, "{case}");
+                }
+            }
+        }
+        assert_eq!(registered, 3 * 3 + 2);
+        // The load-generator mix stays registrable.
+        for (kind, subject) in [("link", "laptop"), ("coverage", "bedroom")] {
+            let resp = d.dispatch(
+                "mix",
+                &Request::RegisterService {
+                    kind: kind.into(),
+                    subject: subject.into(),
+                    value: if kind == "link" { 20.0 } else { 25.0 },
+                },
+            );
+            assert!(matches!(resp, Response::Registered { .. }), "{resp:?}");
+        }
     }
 
     #[test]

@@ -356,12 +356,7 @@ impl Response {
                 Response::IntentTasks {
                     tasks: tasks
                         .iter()
-                        .map(|t| {
-                            t.as_f64()
-                                .filter(|f| *f >= 0.0 && f.fract() == 0.0)
-                                .map(|f| f as u64)
-                                .ok_or_else(|| ProtoError("non-integer task id".into()))
-                        })
+                        .map(|t| as_u64(Some(t), "tasks"))
                         .collect::<Result<_, _>>()?,
                 }
             }
@@ -425,12 +420,24 @@ impl Serialize for ResponseFrame<'_> {
     }
 }
 
+/// The largest integer every JSON number in the `f64` parser holds
+/// exactly (2⁵³−1). Anything larger could already have been rounded.
+const MAX_SAFE_INT: f64 = 9_007_199_254_740_991.0;
+
 fn get_u64(v: &JsonValue, field: &str) -> Result<u64, ProtoError> {
-    v.get(field)
-        .and_then(JsonValue::as_f64)
-        .filter(|f| *f >= 0.0 && f.fract() == 0.0 && *f <= u64::MAX as f64)
+    as_u64(v.get(field), field)
+}
+
+/// `v` as an exact non-negative integer no larger than [`MAX_SAFE_INT`].
+fn as_u64(v: Option<&JsonValue>, field: &str) -> Result<u64, ProtoError> {
+    v.and_then(JsonValue::as_f64)
+        .filter(|f| *f >= 0.0 && f.fract() == 0.0 && *f <= MAX_SAFE_INT)
         .map(|f| f as u64)
-        .ok_or_else(|| ProtoError(format!("missing or non-integer field {field:?}")))
+        .ok_or_else(|| {
+            ProtoError(format!(
+                "missing or non-integer field {field:?} (integers up to 2^53-1)"
+            ))
+        })
 }
 
 fn get_f64(v: &JsonValue, field: &str) -> Result<f64, ProtoError> {
@@ -549,6 +556,34 @@ mod tests {
         assert!(err.0.contains("frobnicate"), "{err}");
         let err = Response::decode(r#"{"v":1,"id":0,"kind":"mystery"}"#).unwrap_err();
         assert!(err.0.contains("mystery"), "{err}");
+    }
+
+    #[test]
+    fn integers_decode_exactly_or_not_at_all() {
+        let max = (1u64 << 53) - 1;
+        let env = RequestEnvelope::decode(&format!(r#"{{"v":1,"id":{max},"op":"ping"}}"#));
+        assert_eq!(env.unwrap().id, max);
+        let (_, resp) = Response::decode(&format!(
+            r#"{{"v":1,"id":0,"kind":"intent","tasks":[{max}]}}"#
+        ))
+        .unwrap();
+        assert_eq!(resp, Response::IntentTasks { tasks: vec![max] });
+        // 2^53+1 would round to 2^53 and 2^64 would saturate to u64::MAX.
+        for big in ["9007199254740993", "18446744073709551616"] {
+            let err = RequestEnvelope::decode(&format!(r#"{{"v":1,"id":{big},"op":"ping"}}"#))
+                .unwrap_err();
+            assert!(err.0.contains("\"id\""), "{big} -> {err}");
+            let err = RequestEnvelope::decode(&format!(
+                r#"{{"v":1,"id":0,"op":"release","service":{big}}}"#
+            ))
+            .unwrap_err();
+            assert!(err.0.contains("\"service\""), "{big} -> {err}");
+            let err = Response::decode(&format!(
+                r#"{{"v":1,"id":0,"kind":"intent","tasks":[1,{big}]}}"#
+            ))
+            .unwrap_err();
+            assert!(err.0.contains("\"tasks\""), "{big} -> {err}");
+        }
     }
 
     #[test]

@@ -262,27 +262,16 @@ impl Shell {
             }
             "request" => {
                 let [kind, subject, value] = args[..] else {
-                    return Err(self.err(
-                        "request <coverage|link|sensing|powering|protect> <subject> <value>",
-                    ));
+                    return Err(self.err(format!(
+                        "request <{}> <subject> <value>",
+                        surfos_orchestrator::SERVICE_KINDS.join("|")
+                    )));
                 };
                 let value = self.parse_f64(value, "value")?;
-                let req = match kind {
-                    "coverage" => {
-                        surfos_orchestrator::ServiceRequest::optimize_coverage(subject, value)
-                    }
-                    "link" => {
-                        surfos_orchestrator::ServiceRequest::enhance_link(subject, value, 50.0)
-                    }
-                    "sensing" => {
-                        surfos_orchestrator::ServiceRequest::enable_sensing(subject, value)
-                    }
-                    "powering" => {
-                        surfos_orchestrator::ServiceRequest::init_powering(subject, value)
-                    }
-                    "protect" => surfos_orchestrator::ServiceRequest::protect_link(subject, value),
-                    other => return Err(self.err(format!("unknown request kind {other:?}"))),
-                };
+                let req = surfos_orchestrator::ServiceRequest::parse(kind, subject, value)
+                    .map_err(|e| self.err(e))?;
+                let resolved = self.os_mut()?.orchestrator().check_subject(&req);
+                resolved.map_err(|e| self.err(e))?;
                 let id = self.os_mut()?.submit(req);
                 Ok(format!("task {id} admitted"))
             }
@@ -743,6 +732,24 @@ telemetry
             .unwrap_err()
             .what
             .contains("unknown anchor"));
+    }
+
+    #[test]
+    fn unservable_requests_rejected() {
+        let mut shell = Shell::new();
+        shell.execute("scenario apartment").unwrap();
+        shell.execute("client laptop 6.5 1.5 1.2").unwrap();
+        for (line, needle) in [
+            ("request teleport bedroom 1", "unknown service kind"),
+            ("request coverage bedroom NaN", "finite"),
+            ("request sensing bedroom 0", "positive"),
+            ("request coverage garage 25", "unknown room"),
+            ("request link bedroom 20", "unknown endpoint"),
+        ] {
+            let err = shell.execute(line).unwrap_err();
+            assert!(err.what.contains(needle), "{line} -> {}", err.what);
+        }
+        assert!(shell.execute("request link laptop 20").is_ok());
     }
 
     #[test]

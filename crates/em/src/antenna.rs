@@ -6,7 +6,6 @@
 //! behaviour that matters for the paper's experiments (directional APs,
 //! cosine-law surface elements) without a full 3-D pattern integration.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// A directional gain pattern. Input is the angle from the pattern's
@@ -24,7 +23,7 @@ pub trait Pattern {
 }
 
 /// The standard element patterns used by SurfOS hardware models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ElementPattern {
     /// Uniform gain in all directions (reference / test pattern).
     Isotropic,

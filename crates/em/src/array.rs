@@ -9,11 +9,10 @@
 //! `z > 0` is in front of the surface.
 
 use crate::complex::Complex;
-use serde::{Deserialize, Serialize};
 
 /// The layout of a rectangular planar array: `rows × cols` elements with
 /// uniform spacing, centred on the local origin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayGeometry {
     /// Number of rows (along local y).
     pub rows: usize,

@@ -6,7 +6,6 @@
 //! `Copy` and all operations are branch-free so channel-simulation inner
 //! loops stay cheap.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -24,7 +23,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 ///
 /// Represents narrowband channel coefficients, per-element scattering
 /// responses and beamforming weights throughout SurfOS.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

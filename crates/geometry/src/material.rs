@@ -7,11 +7,10 @@
 //! measurement literature (ITU-R P.2040-class numbers), rounded; the
 //! qualitative ordering is what the experiments rely on.
 
-use serde::{Deserialize, Serialize};
 use surfos_em::band::Band;
 
 /// A building material, exposing penetration and reflection losses by band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Material {
     /// Gypsum board on studs — interior partition walls.
     Drywall,

@@ -13,7 +13,6 @@ use crate::bvh::{Aabb, Bvh};
 use crate::material::Material;
 use crate::vec3::Vec3;
 use crate::wall::Wall;
-use serde::{Deserialize, Serialize};
 use surfos_em::band::Band;
 #[cfg(target_arch = "x86_64")]
 use surfos_em::simd::avx2::{F32x8A, F64x4A};
@@ -469,7 +468,7 @@ impl WallIndex {
 
 /// A named rectangular room region (plan view), used for "optimize coverage
 /// in the bedroom"-style service goals and for sampling evaluation grids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Room {
     /// Human-readable name, e.g. `"bedroom"`.
     pub name: String,
@@ -548,7 +547,7 @@ impl Room {
 }
 
 /// The environment model: a set of walls and named rooms.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FloorPlan {
     walls: Vec<Wall>,
     rooms: Vec<Room>,

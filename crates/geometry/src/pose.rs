@@ -6,10 +6,9 @@
 //! x–y is the device plane, local +z is the device normal.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Position plus orientation of a planar device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pose {
     /// Device centre in world coordinates.
     pub position: Vec3,

@@ -6,11 +6,10 @@
 //! [`HardwareSpec`] is that datasheet-as-data.
 
 use crate::granularity::Reconfigurability;
-use serde::{Deserialize, Serialize};
 use surfos_em::band::Band;
 
 /// Which fundamental signal property a design can alter, and how finely.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlCapability {
     /// Phase shifting with `bits` quantization (1-bit = {0, π}).
     Phase {
@@ -46,7 +45,7 @@ impl ControlCapability {
 /// Transmissive / reflective / both — mirrors
 /// `surfos_channel::OperationMode` without depending on the channel crate
 /// (hw is physics-free).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SurfaceMode {
     /// Reflects incident signals.
     Reflective,
@@ -57,7 +56,7 @@ pub enum SurfaceMode {
 }
 
 /// The full specification of a surface hardware design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareSpec {
     /// Design/model name, e.g. `"mmWall"`.
     pub model: String,

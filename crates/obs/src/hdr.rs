@@ -1,11 +1,9 @@
 //! Log-linear ("HdrHistogram-style") histogram with exact-bound percentiles.
 //!
-//! The log2 histogram in [`crate::registry`] is fine for "what order of
-//! magnitude" questions but its buckets are a full octave wide, so a p99
-//! read from it can be off by 2×. Tail-latency reporting (the networked
-//! `surfosd` SLO item in the ROADMAP) needs tighter bounds, so durations —
-//! span times, `obs::observe_ns` timers — go into this log-linear variant
-//! instead:
+//! The one distribution type behind `obs::observe` histograms,
+//! `obs::observe_ns` timers and span times. An octave-wide (log2) bucket
+//! could put a p99 off by 2×; this layout splits every octave finely
+//! enough for tail-latency reporting:
 //!
 //! - values below 256 land in unit-width buckets (exact);
 //! - each octave `[2^k, 2^(k+1))` above that is split into 128 linear

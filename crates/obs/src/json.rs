@@ -35,20 +35,25 @@ impl JsonWriter {
 
     fn push_escaped(&mut self, s: &str) {
         self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.out.push(c),
-            }
-        }
+        escape_into(&mut self.out, s);
         self.out.push('"');
+    }
+}
+
+/// Appends `s` to `out` as the body of a JSON string literal (no quotes).
+pub(crate) fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
     }
 }
 

@@ -4,20 +4,23 @@
 //!
 //! - **counters** — monotone `u64` sums (`obs::add("channel.lincache.hits", 1)`),
 //! - **gauges** — last-write-wins `f64` values (`obs::gauge("orchestrator.loss", l)`),
-//! - **histograms** — log2-bucketed `u64` distributions (`obs::observe("channel.batch.width", n)`),
-//! - **timers** — log-linear HDR duration histograms with exact-bound
-//!   `p50/p90/p99/p999` (`obs::observe_ns("channel.lincache.lookup_ns", ns)`,
-//!   see the `hdr` module's accuracy contract),
+//! - **histograms** — `u64` value distributions (`obs::observe("channel.batch.width", n)`),
+//! - **timers** — duration distributions (`obs::observe_ns("channel.lincache.lookup_ns", ns)`),
 //! - **spans** — RAII wall-clock timers that nest into a hierarchical timing
 //!   tree (`let _s = obs::span!("kernel.step");`), keyed by the `/`-joined
-//!   path of active span names on the current thread, with the same HDR
-//!   percentiles per path,
+//!   path of active span names on the current thread,
 //!
 //! plus a fixed-capacity ring-buffer **event journal**
 //! (`obs::event!("broker.monitor", "task {} degraded", id)`) and a
 //! flight-recorder **trace timeline** ([`trace`]): per-thread timestamped
 //! span/instant events exported as Chrome Trace Event JSON for
 //! `chrome://tracing` / Perfetto.
+//!
+//! Histograms, timers and spans share one distribution type: a log-linear
+//! HDR histogram whose `p50/p90/p99/p999` are exact to within `2⁻⁷` of the
+//! true sample quantile (see the `hdr` module's accuracy contract). A
+//! histogram and a timer differ only in their snapshot map and in what
+//! the deterministic projection keeps of them.
 //!
 //! # Labels
 //!
@@ -46,9 +49,9 @@
 //!
 //! # Determinism
 //!
-//! Counters, gauge values, histogram bucket counts and journal events are
-//! functions of the work performed, not of the clock, so two identical runs
-//! produce identical values. Wall-clock fields are the exception; by
+//! Counters, gauge values, histograms and journal events are functions of
+//! the work performed, not of the clock, so two identical runs produce
+//! identical values. Wall-clock fields are the exception; by
 //! convention every duration-valued name ends in `_ns`, and
 //! [`Snapshot::deterministic_json`] excludes those (label suffixes aside),
 //! all timer durations and all span durations so run outputs can be diffed.
@@ -66,9 +69,7 @@ pub mod trace;
 
 pub use json::{to_json, JsonValue, JsonWriter};
 pub use labels::LabelGuard;
-pub use snapshot::{
-    base_name, label_body, EventSnapshot, HdrSnapshot, HistSnapshot, Snapshot, SpanSnapshot,
-};
+pub use snapshot::{base_name, label_body, EventSnapshot, HdrSnapshot, Snapshot, SpanSnapshot};
 pub use span::SpanGuard;
 
 /// The global enable flag. Off by default; when off the recording paths are
@@ -110,8 +111,8 @@ pub fn gauge(name: &'static str, value: f64) {
     }
 }
 
-/// Records `value` into the log2-bucketed histogram `name`. No-op while
-/// disabled.
+/// Records `value` into the histogram `name`; snapshots expose its
+/// `p50/p90/p99/p999`. No-op while disabled.
 #[inline]
 pub fn observe(name: &'static str, value: u64) {
     if enabled() {
@@ -119,9 +120,9 @@ pub fn observe(name: &'static str, value: u64) {
     }
 }
 
-/// Records a duration (nanoseconds) into the log-linear HDR timer `name`;
-/// snapshots expose exact-bound `p50/p90/p99/p999` per timer. By the
-/// determinism convention the name must end in `_ns`. No-op while disabled.
+/// Records a duration (nanoseconds) into the timer `name`; snapshots
+/// expose its `p50/p90/p99/p999`. By the determinism convention the name
+/// must end in `_ns`. No-op while disabled.
 #[inline]
 pub fn observe_ns(name: &'static str, ns: u64) {
     if enabled() {
@@ -249,9 +250,10 @@ mod tests {
         let h = &snap.histograms["t.hist"];
         assert_eq!(h.count, 3);
         assert_eq!(h.sum, 1002);
-        // 1 → bucket lo 1 (count 2); 1000 → bucket lo 512 (count 1).
-        assert_eq!(h.buckets, vec![(1, 2), (512, 1)]);
-        assert_eq!(h.p50(), 1);
+        assert_eq!((h.min, h.p50, h.max), (1, 1, 1000));
+        // 1000 lands in a width-4 slot; the p99 reports its upper bound,
+        // clipped to the observed maximum.
+        assert_eq!(h.p99, 1000);
     }
 
     #[test]
@@ -384,8 +386,8 @@ mod tests {
         let snap = snapshot();
         set_enabled(false);
         assert_eq!(snap.counters["t.par"], 800);
-        assert_eq!(snap.histograms["t.par.h"].count, 800);
-        assert_eq!(snap.histograms["t.par.h"].buckets, vec![(4, 800)]);
+        let h = &snap.histograms["t.par.h"];
+        assert_eq!((h.count, h.sum, h.min, h.p50, h.max), (800, 3200, 4, 4, 4));
     }
 
     #[test]
@@ -437,6 +439,12 @@ mod tests {
             .get("timers")
             .and_then(|t| t.get("t.rt.timer_ns"))
             .is_none());
+        // Histograms hold recorded values, so the projection keeps them whole.
+        let hist = det
+            .get("histograms")
+            .and_then(|h| h.get("t.rt.hist"))
+            .unwrap();
+        assert_eq!(hist.get("p50").and_then(JsonValue::as_f64), Some(9.0));
     }
 
     #[test]

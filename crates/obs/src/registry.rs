@@ -22,66 +22,12 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use crate::hdr::HdrHist;
 use crate::journal::Journal;
 use crate::labels;
-use crate::snapshot::{EventSnapshot, HdrSnapshot, HistSnapshot, Snapshot, SpanSnapshot};
+use crate::snapshot::{EventSnapshot, HdrSnapshot, Snapshot, SpanSnapshot};
 
 /// Number of registry shards. More than the machine's thread count is
 /// wasted; fewer risks two fan-out workers sharing a lock. 16 covers the
 /// `channel::par` pool on every machine this runs on.
 pub(crate) const NUM_SHARDS: usize = 16;
-
-/// Histogram bucket count: bucket 0 holds exact zeros, bucket `i` (1..=64)
-/// holds values in `[2^(i-1), 2^i)`.
-pub(crate) const NUM_BUCKETS: usize = 65;
-
-/// The log2 bucket index of `v`.
-#[inline]
-pub(crate) fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
-    }
-}
-
-/// The smallest value that lands in bucket `i`.
-#[inline]
-pub(crate) fn bucket_lo(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << (i - 1)
-    }
-}
-
-pub(crate) struct Hist {
-    pub count: u64,
-    pub sum: u64,
-    pub buckets: [u64; NUM_BUCKETS],
-}
-
-impl Hist {
-    fn new() -> Self {
-        Hist {
-            count: 0,
-            sum: 0,
-            buckets: [0; NUM_BUCKETS],
-        }
-    }
-
-    fn record(&mut self, v: u64) {
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.buckets[bucket_index(v)] += 1;
-    }
-
-    fn merge_into(&self, count: &mut u64, sum: &mut u64, buckets: &mut [u64; NUM_BUCKETS]) {
-        *count += self.count;
-        *sum = sum.saturating_add(self.sum);
-        for (acc, b) in buckets.iter_mut().zip(self.buckets.iter()) {
-            *acc += b;
-        }
-    }
-}
 
 /// `(metric name, interned label-suffix id)`; id 0 means unlabeled.
 type Key = (&'static str, u32);
@@ -89,7 +35,7 @@ type Key = (&'static str, u32);
 #[derive(Default)]
 struct Shard {
     counters: Mutex<HashMap<Key, u64>>,
-    histograms: Mutex<HashMap<Key, Hist>>,
+    histograms: Mutex<HashMap<Key, HdrHist>>,
     timers: Mutex<HashMap<Key, HdrHist>>,
     /// Span stats nested by label id so the hot path can look paths up by
     /// `&str` without allocating a tuple key per drop.
@@ -147,17 +93,18 @@ pub(crate) fn record_gauge(name: &'static str, value: f64) {
 }
 
 pub(crate) fn record_hist(name: &'static str, value: u64) {
-    lock(&my_shard().histograms)
-        .entry((name, labels::current()))
-        .or_insert_with(Hist::new)
-        .record(value);
+    record_into(&my_shard().histograms, name, value);
 }
 
 pub(crate) fn record_timer(name: &'static str, ns: u64) {
-    lock(&my_shard().timers)
+    record_into(&my_shard().timers, name, ns);
+}
+
+fn record_into(map: &Mutex<HashMap<Key, HdrHist>>, name: &'static str, value: u64) {
+    lock(map)
         .entry((name, labels::current()))
         .or_default()
-        .record(ns);
+        .record(value);
 }
 
 pub(crate) fn record_span(path: &str, ns: u64) {
@@ -218,7 +165,7 @@ pub(crate) fn collect() -> Snapshot {
     let bodies = labels::all_bodies();
     let mut snap = Snapshot::default();
 
-    let mut hists: HashMap<Key, (u64, u64, [u64; NUM_BUCKETS])> = HashMap::new();
+    let mut hists: HashMap<Key, HdrHist> = HashMap::new();
     let mut timers: HashMap<Key, HdrHist> = HashMap::new();
     let mut spans: HashMap<(String, u32), HdrHist> = HashMap::new();
     for shard in &reg.shards {
@@ -231,19 +178,15 @@ pub(crate) fn collect() -> Snapshot {
                 .entry(full_key(name, *lid, &bodies))
                 .or_insert(0) += v;
         }
-        for (key, h) in lock(&shard.histograms).iter() {
-            let (count, sum, buckets) = hists.entry(*key).or_insert((0, 0, [0; NUM_BUCKETS]));
-            h.merge_into(count, sum, buckets);
-            if key.1 != 0 {
-                let (count, sum, buckets) =
-                    hists.entry((key.0, 0)).or_insert((0, 0, [0; NUM_BUCKETS]));
-                h.merge_into(count, sum, buckets);
-            }
-        }
-        for (key, h) in lock(&shard.timers).iter() {
-            timers.entry(*key).or_default().merge(h);
-            if key.1 != 0 {
-                timers.entry((key.0, 0)).or_default().merge(h);
+        for (src, dst) in [
+            (&shard.histograms, &mut hists),
+            (&shard.timers, &mut timers),
+        ] {
+            for (key, h) in lock(src).iter() {
+                dst.entry(*key).or_default().merge(h);
+                if key.1 != 0 {
+                    dst.entry((key.0, 0)).or_default().merge(h);
+                }
             }
         }
         for (lid, by_path) in lock(&shard.spans).iter() {
@@ -256,15 +199,10 @@ pub(crate) fn collect() -> Snapshot {
         }
     }
 
-    for ((name, lid), (count, sum, buckets)) in hists {
-        snap.histograms.insert(
-            full_key(name, lid, &bodies),
-            HistSnapshot::from_buckets(count, sum, &buckets),
-        );
-    }
-    for ((name, lid), h) in timers {
-        snap.timers
-            .insert(full_key(name, lid, &bodies), HdrSnapshot::from_hist(&h));
+    for (dst, merged) in [(&mut snap.histograms, hists), (&mut snap.timers, timers)] {
+        for ((name, lid), h) in merged {
+            dst.insert(full_key(name, lid, &bodies), HdrSnapshot::from_hist(&h));
+        }
     }
     for ((path, lid), h) in spans {
         snap.spans
@@ -294,24 +232,4 @@ pub(crate) fn collect() -> Snapshot {
         }
     }
     snap
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bucket_boundaries() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), 64);
-        for i in 0..NUM_BUCKETS {
-            assert_eq!(bucket_index(bucket_lo(i)), i);
-        }
-    }
 }

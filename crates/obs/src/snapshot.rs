@@ -5,58 +5,11 @@ use std::collections::BTreeMap;
 use serde::ser::{Serialize, SerializeStruct, Serializer};
 
 use crate::hdr::HdrHist;
-use crate::registry::{bucket_lo, NUM_BUCKETS};
 
-/// A merged histogram: total count, saturating sum, and the non-empty log2
-/// buckets as `(bucket_lo, count)` pairs in ascending order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HistSnapshot {
-    pub count: u64,
-    pub sum: u64,
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistSnapshot {
-    pub(crate) fn from_buckets(count: u64, sum: u64, buckets: &[u64; NUM_BUCKETS]) -> Self {
-        HistSnapshot {
-            count,
-            sum,
-            buckets: buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| **c > 0)
-                .map(|(i, c)| (bucket_lo(i), *c))
-                .collect(),
-        }
-    }
-
-    /// Median estimate: the midpoint of the bucket holding the median
-    /// sample. Exact for single-valued buckets (e.g. bucket 1), within 2× on
-    /// the wide high buckets — good enough for "where does the time go".
-    pub fn p50(&self) -> u64 {
-        let half = self.count.div_ceil(2);
-        let mut seen = 0;
-        for &(lo, c) in &self.buckets {
-            seen += c;
-            if seen >= half {
-                let hi = if lo == 0 {
-                    0
-                } else if lo >= 1u64 << 63 {
-                    u64::MAX
-                } else {
-                    2 * lo - 1
-                };
-                return lo / 2 + hi / 2 + (lo & hi & 1);
-            }
-        }
-        0
-    }
-}
-
-/// A merged log-linear (HDR) timer: exact-bound tail percentiles for a
-/// duration series recorded with `obs::observe_ns`. Percentile fields obey
-/// the `hdr` module's accuracy contract — within `2⁻⁷` (< 1 %, i.e. two
-/// significant digits) *above* the true sample quantile, never below.
+/// A merged log-linear (HDR) distribution of a series recorded with
+/// `obs::observe` or `obs::observe_ns`. Percentile fields obey the `hdr`
+/// module's accuracy contract — within `2⁻⁷` (< 1 %, i.e. two significant
+/// digits) *above* the true sample quantile, never below.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HdrSnapshot {
     pub count: u64,
@@ -124,16 +77,17 @@ pub struct EventSnapshot {
 /// Keys may carry a label suffix (`kernel.steps{shard=3}`, see
 /// [`crate::scoped`]); every labeled series is also folded into its
 /// unlabeled base key, so flat totals are sums over labels. Counters,
-/// gauge values, histogram bucket counts and journal events are
-/// deterministic across identical runs; `total_ns`/`p*_ns`, timers and any
-/// `*_ns`-named series are wall-clock and are excluded by
+/// gauge values, histograms and journal events are deterministic across
+/// identical runs; span durations, timer durations and any `*_ns`-named
+/// series are wall-clock and are excluded by
 /// [`Snapshot::deterministic_json`].
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, f64>,
-    pub histograms: BTreeMap<String, HistSnapshot>,
-    /// HDR duration histograms recorded via `obs::observe_ns`.
+    /// Value distributions recorded via `obs::observe`.
+    pub histograms: BTreeMap<String, HdrSnapshot>,
+    /// Duration distributions recorded via `obs::observe_ns`.
     pub timers: BTreeMap<String, HdrSnapshot>,
     pub spans: BTreeMap<String, SpanSnapshot>,
     pub events: Vec<EventSnapshot>,
@@ -148,16 +102,6 @@ pub fn base_name(key: &str) -> &str {
 pub fn label_body(key: &str) -> Option<&str> {
     let start = key.find('{')?;
     key[start + 1..].strip_suffix('}')
-}
-
-impl Serialize for HistSnapshot {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("HistSnapshot", 3)?;
-        st.serialize_field("count", &self.count)?;
-        st.serialize_field("sum", &self.sum)?;
-        st.serialize_field("buckets", &self.buckets)?;
-        st.end()
-    }
 }
 
 impl Serialize for HdrSnapshot {
@@ -212,10 +156,11 @@ impl Serialize for Snapshot {
     }
 }
 
-/// The run-to-run-stable projection of a snapshot: spans reduced to their
-/// counts, timers reduced to their counts, `*_ns` series dropped entirely
-/// (label suffixes are ignored when testing the `_ns` convention). See
-/// module docs on determinism.
+/// The run-to-run-stable projection of a snapshot: spans and timers reduced
+/// to their counts, `*_ns` series dropped entirely (label suffixes are
+/// ignored when testing the `_ns` convention). Histograms are kept whole:
+/// they hold recorded values, not clock readings, so every field is
+/// run-invariant. See module docs on determinism.
 struct Deterministic<'a>(&'a Snapshot);
 
 impl Serialize for Deterministic<'_> {
@@ -237,7 +182,7 @@ impl Serialize for Deterministic<'_> {
             .collect();
         st.serialize_field("gauges", &gauges)?;
 
-        let histograms: BTreeMap<&str, &HistSnapshot> = stable(&snap.histograms)
+        let histograms: BTreeMap<&str, &HdrSnapshot> = stable(&snap.histograms)
             .map(|(k, v)| (k.as_str(), v))
             .collect();
         st.serialize_field("histograms", &histograms)?;
@@ -267,7 +212,7 @@ impl Snapshot {
 
     /// The deterministic projection as JSON: identical runs produce
     /// byte-identical output. Span and timer durations and `*_ns` series
-    /// are dropped; span, timer and bucket *counts* are kept.
+    /// are dropped; span and timer *counts* and whole histograms are kept.
     pub fn deterministic_json(&self) -> String {
         crate::json::to_json(&Deterministic(self))
     }
@@ -331,15 +276,8 @@ impl Snapshot {
         for (name, h) in hists.into_iter().take(8) {
             let _ = writeln!(
                 out,
-                "  {:<38} count {:>8}  p50 {:>8}  buckets {}",
-                name,
-                h.count,
-                h.p50(),
-                h.buckets
-                    .iter()
-                    .map(|(lo, c)| format!("{lo}:{c}"))
-                    .collect::<Vec<_>>()
-                    .join(" "),
+                "  {:<38} count {:>8}  p50 {:>9}  p99 {:>9}  max {:>9}",
+                name, h.count, h.p50, h.p99, h.max,
             );
         }
 

@@ -28,6 +28,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
+use crate::json::escape_into;
+
 /// Events per thread ring. A campus heartbeat is a few hundred span events
 /// per shard; 32k covers multi-minute captures before dropping.
 const RING_CAP: usize = 1 << 15;
@@ -239,19 +241,6 @@ pub(crate) fn reset() {
     for ring in lock_rings().iter() {
         ring.drain();
         ring.dropped.store(0, Ordering::Relaxed);
-    }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -38,5 +38,5 @@ pub use objective::{
 pub use optimizer::{adam, greedy_quantized, random_search, AdamOptions, OptimizeResult};
 pub use orchestrator::Orchestrator;
 pub use scheduler::Scheduler;
-pub use service::{ServiceGoal, ServiceKind, ServiceRequest};
+pub use service::{ServiceGoal, ServiceKind, ServiceRequest, SERVICE_KINDS};
 pub use task::{Task, TaskId, TaskState};

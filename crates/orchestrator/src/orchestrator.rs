@@ -29,6 +29,12 @@ const GRID_HEIGHT_M: f64 = 1.2;
 /// Inset from walls for room grids (metres).
 const GRID_MARGIN_M: f64 = 0.4;
 
+/// Whether services of `kind` name an endpoint (rather than a room) as
+/// their subject.
+fn names_endpoint(kind: ServiceKind) -> bool {
+    matches!(kind, ServiceKind::Connectivity | ServiceKind::Powering)
+}
+
 /// The central control plane.
 pub struct Orchestrator {
     /// The environment + surface model.
@@ -149,19 +155,36 @@ impl Orchestrator {
     /// The geometric target(s) of a task: the subject device's position or
     /// the subject room's centre. Empty when the subject doesn't exist.
     fn task_targets(&self, task: &crate::task::Task) -> Vec<surfos_geometry::Vec3> {
-        match task.request.kind {
-            ServiceKind::Connectivity | ServiceKind::Powering => {
-                match self.endpoints.get(&task.request.subject) {
-                    Some(e) => vec![e.position()],
-                    None => Vec::new(),
-                }
-            }
-            ServiceKind::Coverage | ServiceKind::Sensing | ServiceKind::Security => {
-                match self.sim.plan.room(&task.request.subject) {
-                    Some(room) => vec![room.center(GRID_HEIGHT_M)],
-                    None => Vec::new(),
-                }
-            }
+        self.subject_target(&task.request).into_iter().collect()
+    }
+
+    /// Where a request's subject is: an endpoint for link and powering
+    /// services, a room centre otherwise.
+    fn subject_target(&self, request: &ServiceRequest) -> Option<surfos_geometry::Vec3> {
+        if names_endpoint(request.kind) {
+            self.endpoints.get(&request.subject).map(Endpoint::position)
+        } else {
+            let room = self.sim.plan.room(&request.subject)?;
+            Some(room.center(GRID_HEIGHT_M))
+        }
+    }
+
+    /// Checks that a request's subject resolves under the rule scheduling
+    /// applies: a known endpoint for link and powering services, a known
+    /// room otherwise. A request that fails this could never be served.
+    pub fn check_subject(&self, request: &ServiceRequest) -> Result<(), String> {
+        match self.subject_target(request) {
+            Some(_) => Ok(()),
+            None => Err(format!(
+                "unknown {} {:?} for a {:?} service",
+                if names_endpoint(request.kind) {
+                    "endpoint"
+                } else {
+                    "room"
+                },
+                request.subject,
+                request.kind,
+            )),
         }
     }
 

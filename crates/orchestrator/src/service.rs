@@ -4,10 +4,8 @@
 //! wanted (a link, a room, a device, a quality target), never *which*
 //! surface provides it. Each accepted request becomes a [`crate::task::Task`].
 
-use serde::{Deserialize, Serialize};
-
 /// The classes of low-level capability surfaces provide (paper Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceKind {
     /// Per-link connectivity enhancement.
     Connectivity,
@@ -23,7 +21,7 @@ pub enum ServiceKind {
 }
 
 /// The quantitative goal of a request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServiceGoal {
     /// Reach at least this SNR (dB) on a link, with a latency budget (ms).
     LinkQuality {
@@ -55,7 +53,7 @@ pub enum ServiceGoal {
 }
 
 /// A service request — the argument of one service API call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceRequest {
     /// Service class.
     pub kind: ServiceKind,
@@ -142,7 +140,40 @@ impl ServiceRequest {
         self.priority = priority;
         self
     }
+
+    /// Parses the `<kind> <subject> <value>` vocabulary shared by the
+    /// shell's `request` command and the `surfosd` wire protocol: `value`
+    /// is the SNR goal for `coverage`/`link`, the duration in seconds for
+    /// `sensing`/`powering`, and the leak ceiling for `protect`. Rejects
+    /// unknown kinds, non-finite values and non-positive durations. The
+    /// subject is not resolved here (see
+    /// [`crate::Orchestrator::check_subject`]).
+    pub fn parse(kind: &str, subject: &str, value: f64) -> Result<Self, String> {
+        let request = match kind {
+            "coverage" => Self::optimize_coverage(subject, value),
+            "link" => Self::enhance_link(subject, value, 50.0),
+            "sensing" => Self::enable_sensing(subject, value),
+            "powering" => Self::init_powering(subject, value),
+            "protect" => Self::protect_link(subject, value),
+            _ => {
+                return Err(format!(
+                    "unknown service kind {kind:?} ({})",
+                    SERVICE_KINDS.join("|")
+                ))
+            }
+        };
+        if !value.is_finite() {
+            return Err(format!("{kind} value must be finite, got {value}"));
+        }
+        if request.duration_s.is_some() && value <= 0.0 {
+            return Err(format!("{kind} duration must be positive, got {value} s"));
+        }
+        Ok(request)
+    }
 }
+
+/// The kind names [`ServiceRequest::parse`] accepts.
+pub const SERVICE_KINDS: [&str; 5] = ["coverage", "link", "sensing", "powering", "protect"];
 
 impl std::fmt::Display for ServiceRequest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -218,6 +249,24 @@ mod tests {
 
         let r = ServiceRequest::init_powering("phone", 3600.0);
         assert_eq!(r.to_string(), "init_powering(\"phone\", duration=3600)");
+    }
+
+    #[test]
+    fn parse_maps_kinds_and_rejects_bad_values() {
+        let r = ServiceRequest::parse("link", "laptop", 20.0).unwrap();
+        assert_eq!(r, ServiceRequest::enhance_link("laptop", 20.0, 50.0));
+        let r = ServiceRequest::parse("sensing", "bedroom", 60.0).unwrap();
+        assert_eq!(r, ServiceRequest::enable_sensing("bedroom", 60.0));
+        assert!(ServiceRequest::parse("protect", "vault", -90.0).is_ok());
+        let err = ServiceRequest::parse("teleport", "x", 1.0).unwrap_err();
+        assert!(
+            err.contains("teleport") && err.contains("coverage|link"),
+            "{err}"
+        );
+        assert!(ServiceRequest::parse("coverage", "x", f64::NAN).is_err());
+        assert!(ServiceRequest::parse("link", "x", f64::NEG_INFINITY).is_err());
+        assert!(ServiceRequest::parse("powering", "x", 0.0).is_err());
+        assert!(ServiceRequest::parse("sensing", "x", -1.0).is_err());
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! paper's surface-wide configuration multiplexing.
 
 use crate::task::TaskId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One cell of the time × frequency × space resource grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Slice {
     /// Time slot index within the schedule frame.
     pub slot: usize,
@@ -23,7 +22,7 @@ pub struct Slice {
 }
 
 /// Tasks sharing one slice under joint optimization.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MultitaskGroup {
     /// Member tasks (sorted, deduplicated).
     pub tasks: Vec<TaskId>,
