@@ -983,4 +983,27 @@ mod tests {
         };
         surfos_obs::JsonValue::parse(&json).expect("metrics must parse");
     }
+
+    #[test]
+    fn deeply_nested_frame_is_an_error_and_the_session_survives() {
+        use crate::rpc::frame::{read_frame, MAX_FRAME_LEN};
+        let opts = ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        };
+        let server = Server::start(kernel(), opts).expect("bind loopback");
+        let mut c = TcpStream::connect(server.tcp_addr().expect("tcp")).expect("connect");
+        c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut call = |body: &str| {
+            write_frame(&mut c, body).expect("write frame");
+            let reply = read_frame(&mut c).expect("read").expect("an answer");
+            Response::decode(&reply).expect("valid response").1
+        };
+        // A full-size frame of `[` on a default-stack worker thread.
+        let resp = call(&"[".repeat(MAX_FRAME_LEN));
+        assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+        let resp = call(&RequestEnvelope::new(1, Request::Ping).encode());
+        assert!(matches!(resp, Response::Pong { .. }), "{resp:?}");
+        server.stop();
+    }
 }

@@ -7,7 +7,7 @@
 //!   little-endian length followed by that many bytes of UTF-8 JSON.
 //!   Hostile lengths are rejected *before* any allocation.
 //! * [`proto`] — the versioned request/response types and their JSON
-//!   codec over the vendored serde shim.
+//!   codec over `surfos_obs`'s writer and parser.
 //!
 //! The daemon itself (session loop, dispatch, admission) lives in
 //! [`daemon`](crate::daemon); this module is deliberately free of any

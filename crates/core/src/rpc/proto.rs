@@ -28,8 +28,9 @@
 //!
 //! # Encoding and decoding
 //!
-//! Encoding goes through the vendored serde shim into compact JSON;
-//! decoding parses with the same crate's [`JsonValue`] parser. Both
+//! Encoding writes compact JSON field by field through `surfos_obs`'s
+//! [`JsonObject`]; decoding parses with the same crate's [`JsonValue`]
+//! parser, which refuses documents nested deeper than 64 levels. Both
 //! directions of both types are implemented so clients, servers and tests
 //! share one codec:
 //!
@@ -47,8 +48,7 @@
 //! assert!(matches!(decoded.1, Response::Rejected { .. }));
 //! ```
 
-use serde::ser::{Serialize, SerializeStruct, Serializer};
-use surfos_obs::{to_json, JsonValue};
+use surfos_obs::{JsonObject, JsonValue};
 
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -159,7 +159,31 @@ impl RequestEnvelope {
 
     /// Encodes the envelope as a compact JSON object (one frame body).
     pub fn encode(&self) -> String {
-        to_json(self)
+        let mut out = String::new();
+        let mut o = JsonObject::new(&mut out)
+            .field("v", &self.v)
+            .field("id", &self.id);
+        if let Some(tenant) = &self.tenant {
+            o = o.field("tenant", tenant);
+        }
+        o = o.field("op", self.request.op());
+        match &self.request {
+            Request::Ping => o,
+            Request::RegisterService {
+                kind,
+                subject,
+                value,
+            } => o
+                .field("kind", kind)
+                .field("subject", subject)
+                .field("value", value),
+            Request::ReleaseService { service } => o.field("service", service),
+            Request::SubmitIntent { utterance } => o.field("utterance", utterance),
+            Request::QueryChannel { tx, rx } => o.field("tx", tx).field("rx", rx),
+            Request::Metrics { deterministic } => o.field("deterministic", deterministic),
+        }
+        .end();
+        out
     }
 
     /// Decodes a frame body into an envelope.
@@ -217,40 +241,6 @@ impl RequestEnvelope {
             tenant,
             request,
         })
-    }
-}
-
-impl Serialize for RequestEnvelope {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("RequestEnvelope", 4)?;
-        st.serialize_field("v", &self.v)?;
-        st.serialize_field("id", &self.id)?;
-        if let Some(tenant) = &self.tenant {
-            st.serialize_field("tenant", tenant)?;
-        }
-        st.serialize_field("op", self.request.op())?;
-        match &self.request {
-            Request::Ping => {}
-            Request::RegisterService {
-                kind,
-                subject,
-                value,
-            } => {
-                st.serialize_field("kind", kind)?;
-                st.serialize_field("subject", subject)?;
-                st.serialize_field("value", value)?;
-            }
-            Request::ReleaseService { service } => st.serialize_field("service", service)?,
-            Request::SubmitIntent { utterance } => st.serialize_field("utterance", utterance)?,
-            Request::QueryChannel { tx, rx } => {
-                st.serialize_field("tx", tx)?;
-                st.serialize_field("rx", rx)?;
-            }
-            Request::Metrics { deterministic } => {
-                st.serialize_field("deterministic", deterministic)?;
-            }
-        }
-        st.end()
     }
 }
 
@@ -328,7 +318,34 @@ impl Response {
 
     /// Encodes the response, echoing the request's correlation `id`.
     pub fn encode(&self, id: u64) -> String {
-        to_json(&ResponseFrame { id, response: self })
+        let mut out = String::new();
+        let o = JsonObject::new(&mut out)
+            .field("v", &PROTOCOL_VERSION)
+            .field("id", &id)
+            .field("kind", self.kind());
+        match self {
+            Response::Pong { version, tenant } => {
+                o.field("version", version).field("tenant", tenant)
+            }
+            Response::Registered { service, task } => {
+                o.field("service", service).field("task", task)
+            }
+            Response::Released { service } => o.field("service", service),
+            Response::IntentTasks { tasks } => o.field("tasks", tasks),
+            Response::Channel {
+                rss_dbm,
+                snr_db,
+                capacity_bps,
+            } => o
+                .field("rss_dbm", rss_dbm)
+                .field("snr_db", snr_db)
+                .field("capacity_bps", capacity_bps),
+            Response::Metrics { json } => o.field("json", json),
+            Response::Rejected { reason } => o.field("reason", reason),
+            Response::Error { message } => o.field("message", message),
+        }
+        .end();
+        out
     }
 
     /// Decodes a frame body into `(correlation id, response)`.
@@ -380,46 +397,6 @@ impl Response {
     }
 }
 
-/// Serialization shell pairing a response with its correlation id.
-struct ResponseFrame<'a> {
-    id: u64,
-    response: &'a Response,
-}
-
-impl Serialize for ResponseFrame<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("ResponseFrame", 4)?;
-        st.serialize_field("v", &PROTOCOL_VERSION)?;
-        st.serialize_field("id", &self.id)?;
-        st.serialize_field("kind", self.response.kind())?;
-        match self.response {
-            Response::Pong { version, tenant } => {
-                st.serialize_field("version", version)?;
-                st.serialize_field("tenant", tenant)?;
-            }
-            Response::Registered { service, task } => {
-                st.serialize_field("service", service)?;
-                st.serialize_field("task", task)?;
-            }
-            Response::Released { service } => st.serialize_field("service", service)?,
-            Response::IntentTasks { tasks } => st.serialize_field("tasks", tasks)?,
-            Response::Channel {
-                rss_dbm,
-                snr_db,
-                capacity_bps,
-            } => {
-                st.serialize_field("rss_dbm", rss_dbm)?;
-                st.serialize_field("snr_db", snr_db)?;
-                st.serialize_field("capacity_bps", capacity_bps)?;
-            }
-            Response::Metrics { json } => st.serialize_field("json", json)?,
-            Response::Rejected { reason } => st.serialize_field("reason", reason)?,
-            Response::Error { message } => st.serialize_field("message", message)?,
-        }
-        st.end()
-    }
-}
-
 /// The largest integer every JSON number in the `f64` parser holds
 /// exactly (2⁵³−1). Anything larger could already have been rounded.
 const MAX_SAFE_INT: f64 = 9_007_199_254_740_991.0;
@@ -456,81 +433,174 @@ fn get_str(v: &JsonValue, field: &str) -> Result<String, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn all_requests() -> Vec<Request> {
+    /// Every request variant with its exact encoding under
+    /// `RequestEnvelope::with_tenant(i, "t{i}", _)`.
+    fn all_requests() -> Vec<(Request, &'static str)> {
         vec![
-            Request::Ping,
-            Request::RegisterService {
-                kind: "coverage".into(),
-                subject: "bedroom".into(),
-                value: 25.0,
-            },
-            Request::ReleaseService { service: 3 },
-            Request::SubmitIntent {
-                utterance: "start VR gaming \"now\"".into(),
-            },
-            Request::QueryChannel {
-                tx: "ap0".into(),
-                rx: "laptop".into(),
-            },
-            Request::Metrics {
-                deterministic: true,
-            },
+            (Request::Ping, r#"{"v":1,"id":0,"tenant":"t0","op":"ping"}"#),
+            (
+                Request::RegisterService {
+                    kind: "coverage".into(),
+                    subject: "bedroom".into(),
+                    value: 25.0,
+                },
+                r#"{"v":1,"id":1,"tenant":"t1","op":"register","kind":"coverage","subject":"bedroom","value":25.0}"#,
+            ),
+            (
+                Request::ReleaseService { service: 3 },
+                r#"{"v":1,"id":2,"tenant":"t2","op":"release","service":3}"#,
+            ),
+            (
+                Request::SubmitIntent {
+                    utterance: "start VR gaming \"now\"".into(),
+                },
+                r#"{"v":1,"id":3,"tenant":"t3","op":"intent","utterance":"start VR gaming \"now\""}"#,
+            ),
+            (
+                Request::QueryChannel {
+                    tx: "ap0".into(),
+                    rx: "laptop".into(),
+                },
+                r#"{"v":1,"id":4,"tenant":"t4","op":"query","tx":"ap0","rx":"laptop"}"#,
+            ),
+            (
+                Request::Metrics {
+                    deterministic: true,
+                },
+                r#"{"v":1,"id":5,"tenant":"t5","op":"metrics","deterministic":true}"#,
+            ),
+            (
+                Request::RegisterService {
+                    kind: "link\n".into(),
+                    subject: "a\u{1}\\b".into(),
+                    value: 1e-7,
+                },
+                r#"{"v":1,"id":6,"tenant":"t6","op":"register","kind":"link\n","subject":"a\u0001\\b","value":1e-7}"#,
+            ),
         ]
     }
 
-    fn all_responses() -> Vec<Response> {
+    /// Every response variant with its exact encoding under `encode(i)`.
+    fn all_responses() -> Vec<(Response, &'static str)> {
         vec![
-            Response::Pong {
-                version: PROTOCOL_VERSION,
-                tenant: "tenant-0".into(),
-            },
-            Response::Registered {
-                service: 9,
-                task: 4,
-            },
-            Response::Released { service: 9 },
-            Response::IntentTasks { tasks: vec![1, 2] },
-            Response::IntentTasks { tasks: vec![] },
-            Response::Channel {
-                rss_dbm: -51.25,
-                snr_db: 32.5,
-                capacity_bps: 4.5e9,
-            },
-            Response::Metrics {
-                json: r#"{"counters":{"rpc.requests":12}}"#.into(),
-            },
-            Response::Rejected {
-                reason: "tenant quota exhausted: 4 live (cap 4)".into(),
-            },
-            Response::Error {
-                message: "unknown endpoint \"ghost\"".into(),
-            },
+            (
+                Response::Pong {
+                    version: PROTOCOL_VERSION,
+                    tenant: "tenant-0".into(),
+                },
+                r#"{"v":1,"id":0,"kind":"pong","version":1,"tenant":"tenant-0"}"#,
+            ),
+            (
+                Response::Registered {
+                    service: 9,
+                    task: 4,
+                },
+                r#"{"v":1,"id":1,"kind":"registered","service":9,"task":4}"#,
+            ),
+            (
+                Response::Released { service: 9 },
+                r#"{"v":1,"id":2,"kind":"released","service":9}"#,
+            ),
+            (
+                Response::IntentTasks { tasks: vec![1, 2] },
+                r#"{"v":1,"id":3,"kind":"intent","tasks":[1,2]}"#,
+            ),
+            (
+                Response::IntentTasks { tasks: vec![] },
+                r#"{"v":1,"id":4,"kind":"intent","tasks":[]}"#,
+            ),
+            (
+                Response::Channel {
+                    rss_dbm: -51.25,
+                    snr_db: 32.5,
+                    capacity_bps: 4.5e9,
+                },
+                r#"{"v":1,"id":5,"kind":"channel","rss_dbm":-51.25,"snr_db":32.5,"capacity_bps":4500000000.0}"#,
+            ),
+            (
+                Response::Metrics {
+                    json: r#"{"counters":{"rpc.requests":12}}"#.into(),
+                },
+                r#"{"v":1,"id":6,"kind":"metrics","json":"{\"counters\":{\"rpc.requests\":12}}"}"#,
+            ),
+            (
+                Response::Rejected {
+                    reason: "tenant quota exhausted: 4 live (cap 4)".into(),
+                },
+                r#"{"v":1,"id":7,"kind":"rejected","reason":"tenant quota exhausted: 4 live (cap 4)"}"#,
+            ),
+            (
+                Response::Error {
+                    message: "unknown endpoint \"ghost\"".into(),
+                },
+                r#"{"v":1,"id":8,"kind":"error","message":"unknown endpoint \"ghost\""}"#,
+            ),
+            (
+                Response::Channel {
+                    rss_dbm: 1e-7,
+                    snr_db: -0.0,
+                    capacity_bps: 1500000000.0,
+                },
+                r#"{"v":1,"id":9,"kind":"channel","rss_dbm":1e-7,"snr_db":-0.0,"capacity_bps":1500000000.0}"#,
+            ),
         ]
     }
 
     #[test]
     fn requests_round_trip() {
-        for (i, req) in all_requests().into_iter().enumerate() {
+        for (i, (req, expected)) in all_requests().into_iter().enumerate() {
             let env = RequestEnvelope::with_tenant(i as u64, format!("t{i}"), req.clone());
             let body = env.encode();
+            assert_eq!(body, expected);
             let back = RequestEnvelope::decode(&body).unwrap_or_else(|e| panic!("{body}: {e}"));
             assert_eq!(back, env, "{body}");
         }
         // And without a tenant claim.
         let env = RequestEnvelope::new(5, Request::Ping);
         assert_eq!(RequestEnvelope::decode(&env.encode()).unwrap(), env);
-        assert!(!env.encode().contains("tenant"));
+        assert_eq!(env.encode(), r#"{"v":1,"id":5,"op":"ping"}"#);
+        // A non-finite goal encodes as `null`, which the decoder refuses
+        // by name rather than inventing a number.
+        let nan = RequestEnvelope::new(
+            6,
+            Request::RegisterService {
+                kind: "coverage".into(),
+                subject: "bedroom".into(),
+                value: f64::NAN,
+            },
+        )
+        .encode();
+        assert_eq!(
+            nan,
+            r#"{"v":1,"id":6,"op":"register","kind":"coverage","subject":"bedroom","value":null}"#
+        );
+        let err = RequestEnvelope::decode(&nan).unwrap_err();
+        assert!(err.0.contains("\"value\""), "{err}");
     }
 
     #[test]
     fn responses_round_trip() {
-        for (i, resp) in all_responses().into_iter().enumerate() {
+        for (i, (resp, expected)) in all_responses().into_iter().enumerate() {
             let body = resp.encode(i as u64);
+            assert_eq!(body, expected);
             let (id, back) = Response::decode(&body).unwrap_or_else(|e| panic!("{body}: {e}"));
             assert_eq!(id, i as u64, "{body}");
             assert_eq!(back, resp, "{body}");
         }
+        let inf = Response::Channel {
+            rss_dbm: f64::NEG_INFINITY,
+            snr_db: -0.0,
+            capacity_bps: f64::INFINITY,
+        }
+        .encode(3);
+        assert_eq!(
+            inf,
+            r#"{"v":1,"id":3,"kind":"channel","rss_dbm":null,"snr_db":-0.0,"capacity_bps":null}"#
+        );
+        let err = Response::decode(&inf).unwrap_err();
+        assert!(err.0.contains("\"rss_dbm\""), "{err}");
     }
 
     #[test]
@@ -630,6 +700,108 @@ mod tests {
             .unwrap_err();
         assert!(err.0.contains("version 2"), "{err}");
         assert!(err.0.contains("speaks 1"), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_a_proto_error_not_a_stack_overflow() {
+        let body = "[".repeat(crate::rpc::frame::MAX_FRAME_LEN);
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || RequestEnvelope::decode(&body))
+            .unwrap()
+            .join()
+            .expect("decode must not overflow the stack")
+            .unwrap_err();
+        assert!(err.0.contains("nesting"), "{err}");
+    }
+
+    /// A string drawn from `(class, bits)` pairs: control characters,
+    /// JSON metacharacters, non-BMP scalars or any scalar at all.
+    fn arb_string(draws: &[(u8, u32)]) -> String {
+        draws
+            .iter()
+            .map(|&(class, bits)| match class {
+                0 => char::from_u32(bits % 0x20).unwrap(),
+                1 => ['"', '\\', '/', '\u{7f}'][bits as usize % 4],
+                2 => char::from_u32(0x10000 + bits % 0x100000).unwrap(),
+                _ => char::from_u32(bits % 0x110000).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    }
+
+    /// Fragments a token soup is built from: JSON punctuation and literals
+    /// plus envelope keys and ops, so some soups get past the parser.
+    const TOKENS: [&str; 20] = [
+        "[",
+        "]",
+        "{",
+        "}",
+        "\"",
+        ":",
+        ",",
+        "\\",
+        "0",
+        "-1e9",
+        "true",
+        "null",
+        " ",
+        "\"v\":1",
+        "\"id\":",
+        "\"op\":",
+        "\"register\"",
+        "\"kind\"",
+        "\"tasks\":[",
+        "\"channel\"",
+    ];
+
+    proptest! {
+        #[test]
+        fn random_bytes_never_panic_the_decoders(
+            bytes in prop::collection::vec(prop::num::u8::ANY, 0..96),
+        ) {
+            let body = String::from_utf8_lossy(&bytes);
+            let _ = RequestEnvelope::decode(&body);
+            let _ = Response::decode(&body);
+        }
+
+        #[test]
+        fn token_soups_never_panic_the_decoders(
+            picks in prop::collection::vec(0usize..TOKENS.len(), 0..48),
+        ) {
+            let body: String = picks.iter().map(|&i| TOKENS[i]).collect();
+            let _ = RequestEnvelope::decode(&body);
+            let _ = Response::decode(&body);
+            let wrapped = format!(r#"{{"v":1,"id":2,"op":"register","kind":{body}}}"#);
+            let _ = RequestEnvelope::decode(&wrapped);
+        }
+
+        #[test]
+        fn requests_with_arbitrary_strings_round_trip(
+            shape in (0u8..6, 0u64..(1 << 53), -1e12f64..1e12, prop::bool::ANY),
+            a in prop::collection::vec((0u8..4, prop::num::u32::ANY), 0..16),
+            b in prop::collection::vec((0u8..4, prop::num::u32::ANY), 0..16),
+            tenant in prop::collection::vec((0u8..4, prop::num::u32::ANY), 0..8),
+        ) {
+            let (op, num, value, flag) = shape;
+            let (a, b) = (arb_string(&a), arb_string(&b));
+            let request = match op {
+                0 => Request::Ping,
+                1 => Request::RegisterService { kind: a.clone(), subject: b, value },
+                2 => Request::ReleaseService { service: num },
+                3 => Request::SubmitIntent { utterance: a.clone() },
+                4 => Request::QueryChannel { tx: a.clone(), rx: b },
+                _ => Request::Metrics { deterministic: flag },
+            };
+            let env = if flag {
+                RequestEnvelope::with_tenant(num, arb_string(&tenant), request)
+            } else {
+                RequestEnvelope::new(num, request)
+            };
+            let body = env.encode();
+            prop_assert_eq!(RequestEnvelope::decode(&body), Ok(env), "{}", body);
+            let error = Response::Error { message: a };
+            prop_assert_eq!(Response::decode(&error.encode(num)), Ok((num, error)));
+        }
     }
 
     #[test]

@@ -1,20 +1,15 @@
 //! Kernel telemetry: the counters an operator dashboards.
 //!
-//! The struct, its serde impl and its registry-view constructor are all
+//! The struct, its registry-view constructor and its shard merge are all
 //! generated from one field list by the private `telemetry_counters!`
-//! macro, so the
-//! serialized field count can never drift from the definition (the old
-//! hand-written impl hard-coded `serialize_struct("Telemetry", 7)` and
-//! would have silently lied the moment a field was added).
+//! macro, so a new counter cannot be missed by either.
 //!
 //! The kernel also mirrors every increment into the `surfos-obs` registry
 //! under `kernel.<field>`; [`Telemetry::from_snapshot`] reconstructs the
 //! struct from a snapshot, making these counters a *view* over the
 //! registry whenever observability is enabled.
 
-use serde::ser::SerializeStruct;
-
-/// Defines the telemetry struct plus its serde and registry-view impls
+/// Defines the telemetry struct plus its registry-view and merge impls
 /// from a single field list.
 macro_rules! telemetry_counters {
     (
@@ -28,24 +23,7 @@ macro_rules! telemetry_counters {
             $( $(#[$field_meta])* pub $field: u64, )+
         }
 
-        impl serde::Serialize for $name {
-            fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                const FIELDS: usize = [$(stringify!($field)),+].len();
-                let mut st = s.serialize_struct(stringify!($name), FIELDS)?;
-                $( st.serialize_field(stringify!($field), &self.$field)?; )+
-                st.end()
-            }
-        }
-
         impl $name {
-            /// The serialized field count (generated, not hand-counted).
-            pub const FIELD_COUNT: usize = [$(stringify!($field)),+].len();
-
-            /// The obs-registry counter name mirroring each field, in
-            /// field order.
-            pub const COUNTER_NAMES: &'static [&'static str] =
-                &[$( concat!("kernel.", stringify!($field)) ),+];
-
             /// Reconstructs the counters from an obs snapshot. Matches the
             /// struct the kernel accumulated exactly when observability was
             /// enabled for the whole run (the kernel mirrors every
@@ -130,23 +108,5 @@ mod tests {
         assert!(s.contains("steps=0"));
         assert!(s.contains("wire=0B"));
         assert!(s.contains("skips=0"));
-    }
-
-    #[test]
-    fn serialized_field_count_matches_definition() {
-        // The JSON object must carry exactly FIELD_COUNT keys — the count
-        // is generated, so this can only fail if serialization drops or
-        // duplicates a field.
-        let t = Telemetry {
-            steps: 1,
-            ..Default::default()
-        };
-        let json = surfos_obs::to_json(&t);
-        let v = surfos_obs::JsonValue::parse(&json).expect("valid JSON");
-        let fields = v.as_object().expect("an object");
-        assert_eq!(fields.len(), Telemetry::FIELD_COUNT);
-        assert_eq!(v.get("steps").and_then(|s| s.as_f64()), Some(1.0));
-        assert_eq!(Telemetry::COUNTER_NAMES.len(), Telemetry::FIELD_COUNT);
-        assert!(Telemetry::COUNTER_NAMES.contains(&"kernel.configs_skipped"));
     }
 }

@@ -1,42 +1,57 @@
-//! JSON output for the vendored serde shim, plus a small parser for
-//! round-trip tests and tooling.
+//! Compact JSON output plus a small parser for the RPC codec, round-trip
+//! tests and tooling.
 //!
-//! [`JsonWriter`] implements the shim's [`Serializer`] by appending compact
-//! JSON to a string; [`to_json`] is the one-call entry point. [`JsonValue`]
-//! parses any document this writer emits (objects keep key order, numbers
-//! are `f64`).
+//! Encoders implement [`ToJson`] (or write an object field by field with
+//! [`JsonObject`]); [`to_json`] is the one-call entry point. Non-finite
+//! floats encode as `null`. [`JsonValue`] parses any document these
+//! writers emit (objects keep key order, numbers are `f64`), and caps
+//! nesting at 64 levels so hostile input cannot exhaust the stack.
 
-use serde::ser::{Serialize, SerializeMap, SerializeSeq, SerializeStruct, Serializer};
+use std::collections::BTreeMap;
+use std::fmt::Write;
 
-/// Serializes `value` to a compact JSON string via [`JsonWriter`].
-pub fn to_json<T: Serialize + ?Sized>(value: &T) -> String {
-    let mut w = JsonWriter::new();
-    value
-        .serialize(&mut w)
-        .expect("JsonWriter serialization is infallible");
-    w.finish()
+/// A value that appends itself to a string as compact JSON.
+pub trait ToJson {
+    /// Appends `self` as compact JSON to `out`.
+    fn write_json(&self, out: &mut String);
 }
 
-/// A compact-JSON [`Serializer`] writing into an owned string. Map keys must
-/// serialize as strings (everything in this workspace does).
-#[derive(Default)]
-pub struct JsonWriter {
-    out: String,
+/// Encodes `value` as a compact JSON string.
+pub fn to_json<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
 }
 
-impl JsonWriter {
-    pub fn new() -> Self {
-        JsonWriter::default()
+/// Writes one JSON object into a string, field by field:
+/// `JsonObject::new(out).field("a", &1u64).field("b", "x").end()`
+/// appends `{"a":1,"b":"x"}`.
+pub struct JsonObject<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl<'a> JsonObject<'a> {
+    /// Opens the object.
+    pub fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        JsonObject { out, first: true }
     }
 
-    pub fn finish(self) -> String {
-        self.out
+    /// Appends `"key":value`.
+    pub fn field<T: ToJson + ?Sized>(mut self, key: &str, value: &T) -> Self {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        key.write_json(self.out);
+        self.out.push(':');
+        value.write_json(self.out);
+        self
     }
 
-    fn push_escaped(&mut self, s: &str) {
-        self.out.push('"');
-        escape_into(&mut self.out, s);
-        self.out.push('"');
+    /// Closes the object.
+    pub fn end(self) {
+        self.out.push('}');
     }
 }
 
@@ -50,155 +65,88 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
 }
 
-/// Compound-state writer for sequences, maps and structs.
-pub struct CompoundWriter<'a> {
-    w: &'a mut JsonWriter,
-    first: bool,
-    close: char,
-}
-
-impl<'a> CompoundWriter<'a> {
-    fn comma(&mut self) {
-        if self.first {
-            self.first = false;
-        } else {
-            self.w.out.push(',');
-        }
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        escape_into(out, self);
+        out.push('"');
     }
 }
 
-impl<'a> Serializer for &'a mut JsonWriter {
-    type Ok = ();
-    type Error = std::fmt::Error;
-    type SerializeSeq = CompoundWriter<'a>;
-    type SerializeMap = CompoundWriter<'a>;
-    type SerializeStruct = CompoundWriter<'a>;
-
-    fn serialize_bool(self, v: bool) -> Result<(), Self::Error> {
-        self.out.push_str(if v { "true" } else { "false" });
-        Ok(())
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
     }
+}
 
-    fn serialize_i64(self, v: i64) -> Result<(), Self::Error> {
-        self.out.push_str(&v.to_string());
-        Ok(())
+impl ToJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
+}
 
-    fn serialize_u64(self, v: u64) -> Result<(), Self::Error> {
-        self.out.push_str(&v.to_string());
-        Ok(())
+impl ToJson for u64 {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
     }
+}
 
-    fn serialize_f64(self, v: f64) -> Result<(), Self::Error> {
-        if v.is_finite() {
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
             // `{:?}` is the shortest representation that round-trips.
-            self.out.push_str(&format!("{v:?}"));
+            let _ = write!(out, "{self:?}");
         } else {
-            self.out.push_str("null");
+            out.push_str("null");
         }
-        Ok(())
-    }
-
-    fn serialize_str(self, v: &str) -> Result<(), Self::Error> {
-        self.push_escaped(v);
-        Ok(())
-    }
-
-    fn serialize_seq(self, _len: Option<usize>) -> Result<Self::SerializeSeq, Self::Error> {
-        self.out.push('[');
-        Ok(CompoundWriter {
-            w: self,
-            first: true,
-            close: ']',
-        })
-    }
-
-    fn serialize_map(self, _len: Option<usize>) -> Result<Self::SerializeMap, Self::Error> {
-        self.out.push('{');
-        Ok(CompoundWriter {
-            w: self,
-            first: true,
-            close: '}',
-        })
-    }
-
-    fn serialize_struct(
-        self,
-        _name: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeStruct, Self::Error> {
-        self.out.push('{');
-        Ok(CompoundWriter {
-            w: self,
-            first: true,
-            close: '}',
-        })
     }
 }
 
-impl SerializeSeq for CompoundWriter<'_> {
-    type Ok = ();
-    type Error = std::fmt::Error;
-
-    fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Self::Error> {
-        self.comma();
-        value.serialize(&mut *self.w)
-    }
-
-    fn end(self) -> Result<(), Self::Error> {
-        self.w.out.push(self.close);
-        Ok(())
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
-impl SerializeMap for CompoundWriter<'_> {
-    type Ok = ();
-    type Error = std::fmt::Error;
-
-    fn serialize_key<T: ?Sized + Serialize>(&mut self, key: &T) -> Result<(), Self::Error> {
-        self.comma();
-        key.serialize(&mut *self.w)?;
-        self.w.out.push(':');
-        Ok(())
-    }
-
-    fn serialize_value<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Self::Error> {
-        value.serialize(&mut *self.w)
-    }
-
-    fn end(self) -> Result<(), Self::Error> {
-        self.w.out.push(self.close);
-        Ok(())
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
-impl SerializeStruct for CompoundWriter<'_> {
-    type Ok = ();
-    type Error = std::fmt::Error;
-
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), Self::Error> {
-        self.comma();
-        self.w.push_escaped(key);
-        self.w.out.push(':');
-        value.serialize(&mut *self.w)
-    }
-
-    fn end(self) -> Result<(), Self::Error> {
-        self.w.out.push(self.close);
-        Ok(())
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
+
+impl<K: AsRef<str>, V: ToJson> ToJson for BTreeMap<K, V> {
+    fn write_json(&self, out: &mut String) {
+        self.iter()
+            .fold(JsonObject::new(out), |o, (k, v)| o.field(k.as_ref(), v))
+            .end();
+    }
+}
+
+/// The deepest array/object nesting [`JsonValue::parse`] accepts. The
+/// parser recurses once per level, so without a cap a frame of `[`s would
+/// overflow the thread's stack; every document this workspace exchanges
+/// nests a few levels at most.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Objects preserve key order.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,11 +160,12 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
-    /// Parses a JSON document.
+    /// Parses a JSON document nested at most 64 levels deep.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -274,6 +223,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -311,8 +262,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -320,6 +271,23 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -395,17 +363,20 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let mut code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A UTF-16 surrogate pair spells one non-BMP
+                            // scalar; a lone surrogate becomes U+FFFD.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                            {
+                                let low = self.hex4(self.pos + 3)?;
+                                if (0xDC00..0xE000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
@@ -423,6 +394,15 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The four hex digits at `at` (exactly four: no sign, no fewer).
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        self.bytes
+            .get(at..at + 4)
+            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|hex| u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok())
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))
     }
 
     fn number(&mut self) -> Result<JsonValue, String> {
@@ -447,13 +427,13 @@ mod tests {
 
     #[test]
     fn writer_emits_valid_json() {
-        let mut w = JsonWriter::new();
-        ["a\"b", "c\\d", "e\nf"].serialize(&mut w).unwrap();
-        assert_eq!(w.finish(), r#"["a\"b","c\\d","e\nf"]"#);
+        assert_eq!(
+            to_json(&["a\"b", "c\\d", "e\nf"][..]),
+            r#"["a\"b","c\\d","e\nf"]"#
+        );
         assert_eq!(to_json(&true), "true");
         assert_eq!(to_json(&42u64), "42");
         assert_eq!(to_json(&-1.5f64), "-1.5");
-        assert_eq!(to_json(&(3u64, 7u64)), "[3,7]");
     }
 
     #[test]
@@ -476,6 +456,28 @@ mod tests {
         assert!(JsonValue::parse("{\"a\": }").is_err());
         assert!(JsonValue::parse("[1, 2").is_err());
         assert!(JsonValue::parse("[1] garbage").is_err());
+
+        // `\u` takes exactly four hex digits; a surrogate pair is one
+        // scalar and a lone or reversed surrogate is U+FFFD.
+        let s = |text: &str| JsonValue::parse(text).map(|v| v.as_str().map(str::to_owned));
+        assert_eq!(s(r#""\u0041\u00e9""#), Ok(Some("Aé".into())));
+        assert_eq!(s(r#""\ud83d\ude00""#), Ok(Some("😀".into())));
+        assert_eq!(s(r#""\ud83dx""#), Ok(Some("\u{fffd}x".into())));
+        assert_eq!(s(r#""\ude00\ud83d""#), Ok(Some("\u{fffd}\u{fffd}".into())));
+        assert_eq!(s(r#""\ud83d\u0041""#), Ok(Some("\u{fffd}A".into())));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u04""#, r#""\u00g1""#] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad}");
+        }
+        let text = "smile 😀 \u{1} done";
+        assert_eq!(s(&to_json(text)), Ok(Some(text.into())));
+
+        // Nesting stops at MAX_DEPTH, naming the offending byte.
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(JsonValue::parse(&objects).is_err());
     }
 
     #[test]
@@ -494,11 +496,7 @@ mod tests {
                         out.push_str(&format!("{n:?}"));
                     }
                 }
-                JsonValue::Str(s) => {
-                    let mut w = JsonWriter::new();
-                    w.push_escaped(s);
-                    out.push_str(&w.finish());
-                }
+                JsonValue::Str(s) => s.write_json(out),
                 JsonValue::Arr(items) => {
                     out.push('[');
                     for (i, item) in items.iter().enumerate() {
@@ -515,9 +513,7 @@ mod tests {
                         if i > 0 {
                             out.push(',');
                         }
-                        let mut w = JsonWriter::new();
-                        w.push_escaped(k);
-                        out.push_str(&w.finish());
+                        k.write_json(out);
                         out.push(':');
                         write(val, out);
                     }

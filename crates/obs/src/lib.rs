@@ -67,7 +67,7 @@ mod snapshot;
 mod span;
 pub mod trace;
 
-pub use json::{to_json, JsonValue, JsonWriter};
+pub use json::{to_json, JsonObject, JsonValue, ToJson};
 pub use labels::LabelGuard;
 pub use snapshot::{base_name, label_body, EventSnapshot, HdrSnapshot, Snapshot, SpanSnapshot};
 pub use span::SpanGuard;
@@ -445,6 +445,67 @@ mod tests {
             .and_then(|h| h.get("t.rt.hist"))
             .unwrap();
         assert_eq!(hist.get("p50").and_then(JsonValue::as_f64), Some(9.0));
+
+        // Byte-exact output on a hand-built snapshot: a `_ns` counter
+        // (dropped by the projection), a NaN gauge (`null`), a `_ns` timer
+        // (dropped), a plain timer and a span (both reduced to counts).
+        let hdr = |n: u64| HdrSnapshot {
+            count: n,
+            sum: 10 * n,
+            min: 1,
+            max: 20,
+            p50: 9,
+            p90: 18,
+            p99: 19,
+            p999: 20,
+        };
+        let snap = Snapshot {
+            counters: [("a.n".into(), 3), ("a.wait_ns".into(), 500)].into(),
+            gauges: [("g.nan".into(), f64::NAN), ("g.x{shard=1}".into(), 1e-7)].into(),
+            histograms: [("h.width".into(), hdr(2))].into(),
+            timers: [("t.lookup_ns".into(), hdr(3)), ("t.plain".into(), hdr(4))].into(),
+            spans: [(
+                "k.step/k.opt".into(),
+                SpanSnapshot {
+                    count: 5,
+                    total_ns: 1500,
+                    p50_ns: 300,
+                    p90_ns: 310,
+                    p99_ns: 320,
+                    p999_ns: 330,
+                    max_ns: 340,
+                },
+            )]
+            .into(),
+            events: vec![EventSnapshot {
+                seq: 7,
+                category: "cat".into(),
+                message: "say \"hi\"\n\u{1}".into(),
+            }],
+        };
+        let h = |n| {
+            format!(
+                r#"{{"count":{n},"sum":{},"min":1,"max":20,"p50":9,"p90":18,"p99":19,"p999":20}}"#,
+                10 * n
+            )
+        };
+        let events = r#"[{"seq":7,"category":"cat","message":"say \"hi\"\n\u0001"}]"#;
+        assert_eq!(
+            snap.to_json(),
+            format!(
+                r#"{{"counters":{{"a.n":3,"a.wait_ns":500}},"gauges":{{"g.nan":null,"g.x{{shard=1}}":1e-7}},"histograms":{{"h.width":{}}},"timers":{{"t.lookup_ns":{},"t.plain":{}}},"spans":{{"k.step/k.opt":{{"count":5,"total_ns":1500,"p50_ns":300,"p90_ns":310,"p99_ns":320,"p999_ns":330,"max_ns":340}}}},"events":{events}}}"#,
+                h(2),
+                h(3),
+                h(4)
+            )
+        );
+        assert_eq!(
+            snap.deterministic_json(),
+            format!(
+                r#"{{"counters":{{"a.n":3}},"gauges":{{"g.nan":null,"g.x{{shard=1}}":1e-7}},"histograms":{{"h.width":{}}},"timers":{{"t.plain":4}},"spans":{{"k.step/k.opt":5}},"events":{events}}}"#,
+                h(2)
+            )
+        );
     }
 
     #[test]

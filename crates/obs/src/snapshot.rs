@@ -2,9 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::ser::{Serialize, SerializeStruct, Serializer};
-
 use crate::hdr::HdrHist;
+use crate::json::{JsonObject, ToJson};
 
 /// A merged log-linear (HDR) distribution of a series recorded with
 /// `obs::observe` or `obs::observe_ns`. Percentile fields obey the `hdr`
@@ -104,103 +103,55 @@ pub fn label_body(key: &str) -> Option<&str> {
     key[start + 1..].strip_suffix('}')
 }
 
-impl Serialize for HdrSnapshot {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("HdrSnapshot", 8)?;
-        st.serialize_field("count", &self.count)?;
-        st.serialize_field("sum", &self.sum)?;
-        st.serialize_field("min", &self.min)?;
-        st.serialize_field("max", &self.max)?;
-        st.serialize_field("p50", &self.p50)?;
-        st.serialize_field("p90", &self.p90)?;
-        st.serialize_field("p99", &self.p99)?;
-        st.serialize_field("p999", &self.p999)?;
-        st.end()
+impl ToJson for HdrSnapshot {
+    fn write_json(&self, out: &mut String) {
+        JsonObject::new(out)
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .field("p50", &self.p50)
+            .field("p90", &self.p90)
+            .field("p99", &self.p99)
+            .field("p999", &self.p999)
+            .end();
     }
 }
 
-impl Serialize for SpanSnapshot {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("SpanSnapshot", 7)?;
-        st.serialize_field("count", &self.count)?;
-        st.serialize_field("total_ns", &self.total_ns)?;
-        st.serialize_field("p50_ns", &self.p50_ns)?;
-        st.serialize_field("p90_ns", &self.p90_ns)?;
-        st.serialize_field("p99_ns", &self.p99_ns)?;
-        st.serialize_field("p999_ns", &self.p999_ns)?;
-        st.serialize_field("max_ns", &self.max_ns)?;
-        st.end()
+impl ToJson for SpanSnapshot {
+    fn write_json(&self, out: &mut String) {
+        JsonObject::new(out)
+            .field("count", &self.count)
+            .field("total_ns", &self.total_ns)
+            .field("p50_ns", &self.p50_ns)
+            .field("p90_ns", &self.p90_ns)
+            .field("p99_ns", &self.p99_ns)
+            .field("p999_ns", &self.p999_ns)
+            .field("max_ns", &self.max_ns)
+            .end();
     }
 }
 
-impl Serialize for EventSnapshot {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("EventSnapshot", 3)?;
-        st.serialize_field("seq", &self.seq)?;
-        st.serialize_field("category", &self.category)?;
-        st.serialize_field("message", &self.message)?;
-        st.end()
+impl ToJson for EventSnapshot {
+    fn write_json(&self, out: &mut String) {
+        JsonObject::new(out)
+            .field("seq", &self.seq)
+            .field("category", &self.category)
+            .field("message", &self.message)
+            .end();
     }
 }
 
-impl Serialize for Snapshot {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("Snapshot", 6)?;
-        st.serialize_field("counters", &self.counters)?;
-        st.serialize_field("gauges", &self.gauges)?;
-        st.serialize_field("histograms", &self.histograms)?;
-        st.serialize_field("timers", &self.timers)?;
-        st.serialize_field("spans", &self.spans)?;
-        st.serialize_field("events", &self.events)?;
-        st.end()
-    }
-}
-
-/// The run-to-run-stable projection of a snapshot: spans and timers reduced
-/// to their counts, `*_ns` series dropped entirely (label suffixes are
-/// ignored when testing the `_ns` convention). Histograms are kept whole:
-/// they hold recorded values, not clock readings, so every field is
-/// run-invariant. See module docs on determinism.
-struct Deterministic<'a>(&'a Snapshot);
-
-impl Serialize for Deterministic<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        fn stable<V>(map: &BTreeMap<String, V>) -> impl Iterator<Item = (&String, &V)> {
-            map.iter()
-                .filter(|(name, _)| !base_name(name).ends_with("_ns"))
-        }
-        let snap = self.0;
-        let mut st = serializer.serialize_struct("Snapshot", 6)?;
-
-        let counters: BTreeMap<&str, u64> = stable(&snap.counters)
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect();
-        st.serialize_field("counters", &counters)?;
-
-        let gauges: BTreeMap<&str, f64> = stable(&snap.gauges)
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect();
-        st.serialize_field("gauges", &gauges)?;
-
-        let histograms: BTreeMap<&str, &HdrSnapshot> = stable(&snap.histograms)
-            .map(|(k, v)| (k.as_str(), v))
-            .collect();
-        st.serialize_field("histograms", &histograms)?;
-
-        let timers: BTreeMap<&str, u64> = stable(&snap.timers)
-            .map(|(k, v)| (k.as_str(), v.count))
-            .collect();
-        st.serialize_field("timers", &timers)?;
-
-        let spans: BTreeMap<&str, u64> = snap
-            .spans
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.count))
-            .collect();
-        st.serialize_field("spans", &spans)?;
-
-        st.serialize_field("events", &snap.events)?;
-        st.end()
+impl ToJson for Snapshot {
+    fn write_json(&self, out: &mut String) {
+        JsonObject::new(out)
+            .field("counters", &self.counters)
+            .field("gauges", &self.gauges)
+            .field("histograms", &self.histograms)
+            .field("timers", &self.timers)
+            .field("spans", &self.spans)
+            .field("events", &self.events)
+            .end();
     }
 }
 
@@ -213,8 +164,34 @@ impl Snapshot {
     /// The deterministic projection as JSON: identical runs produce
     /// byte-identical output. Span and timer durations and `*_ns` series
     /// are dropped; span and timer *counts* and whole histograms are kept.
+    /// Label suffixes are ignored when testing the `_ns` convention.
+    /// Histograms hold recorded values, not clock readings, so every
+    /// field of theirs is run-invariant. See module docs on determinism.
     pub fn deterministic_json(&self) -> String {
-        crate::json::to_json(&Deterministic(self))
+        fn stable<V>(map: &BTreeMap<String, V>) -> impl Iterator<Item = (&str, &V)> {
+            map.iter()
+                .map(|(name, v)| (name.as_str(), v))
+                .filter(|(name, _)| !base_name(name).ends_with("_ns"))
+        }
+        let counters: BTreeMap<&str, u64> = stable(&self.counters).map(|(k, v)| (k, *v)).collect();
+        let gauges: BTreeMap<&str, f64> = stable(&self.gauges).map(|(k, v)| (k, *v)).collect();
+        let histograms: BTreeMap<&str, &HdrSnapshot> = stable(&self.histograms).collect();
+        let timers: BTreeMap<&str, u64> = stable(&self.timers).map(|(k, v)| (k, v.count)).collect();
+        let spans: BTreeMap<&str, u64> = self
+            .spans
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.count))
+            .collect();
+        let mut out = String::new();
+        JsonObject::new(&mut out)
+            .field("counters", &counters)
+            .field("gauges", &gauges)
+            .field("histograms", &histograms)
+            .field("timers", &timers)
+            .field("spans", &spans)
+            .field("events", &self.events)
+            .end();
+        out
     }
 
     /// Human-readable report: the span tree (indented by nesting depth),

@@ -18,6 +18,12 @@ fi
 
 cargo clippy -q --all-targets -- -D warnings
 
+# Lockfile gate: a manifest edit that would rewrite Cargo.lock or
+# e2ebench/Cargo.lock fails here, instead of silently changing what the
+# benchmark builds. --locked makes cargo refuse to write either lock.
+cargo metadata -q --offline --locked --format-version 1 > /dev/null
+cargo metadata -q --offline --locked --format-version 1 --manifest-path e2ebench/Cargo.toml > /dev/null
+
 # Backend-equivalence gate: the runtime-dispatched kernels (scalar
 # reference, native avx2 where the host has avx2+fma) must return
 # bit-identical geometry and channel results. Each arm forces one backend
@@ -83,4 +89,4 @@ SURFOS_METRICS_CHECK="$metrics_tmp" \
 # via #![warn(missing_docs)]) fail the build, not just warn.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "lint: formatting, clippy, backend equivalence (${simd_arms[*]}), shard equivalence (serial), trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
+echo "lint: formatting, clippy, lockfiles, backend equivalence (${simd_arms[*]}), shard equivalence (serial), trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
